@@ -292,14 +292,13 @@ _COMMANDS = {
 
 
 def _emit(report, csv_payload, args, stdout):
+    if args.csv and csv_payload is None:
+        raise _InputError("this command produces no CSV report")
     text = json.dumps(report, indent=2) + "\n"
-    stdout.write(text)
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     if args.csv:
-        if csv_payload is None:
-            raise _InputError("this command produces no CSV report")
         header, rows = csv_payload
         buf = io.StringIO()
         buf.write(",".join(header) + "\n")
@@ -307,6 +306,7 @@ def _emit(report, csv_payload, args, stdout):
             buf.write(",".join(row) + "\n")
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(buf.getvalue())
+    stdout.write(text)  # last, so that a failed file write prints no report
 
 
 def main(argv=None, stdout=None, stderr=None) -> int:
@@ -328,6 +328,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except CapExceeded as exc:
         return diagnose("cap", str(exc), 2)
     except (_InputError, SpecError, MalformedPermutation, NotASubgroup, ValueError) as exc:
+        return diagnose("input", str(exc), 1)
+    except OSError as exc:  # a --json/--csv path that cannot be written
         return diagnose("input", str(exc), 1)
     return 0
 

@@ -11,10 +11,6 @@ re-indexed.
 
 from __future__ import annotations
 
-import itertools
-from functools import reduce
-from math import factorial, gcd
-
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
@@ -143,10 +139,10 @@ class StabilizerChain:
             for p in list(t):
                 u = t[p]
                 for g in gens:
-                    schreier = _compose(_compose(u, g), _inverse(t[g[p]]))
-                    if schreier == ident:
-                        continue
-                    residue, lev = self._strip(schreier, i + 1)
+                    ug = _compose(u, g)
+                    if ug == t[g[p]]:
+                        continue  # the Schreier generator u g t[g[p]]^-1 is trivial
+                    residue, lev = self._strip(_compose(ug, _inverse(t[g[p]])), i + 1)
                     if residue == ident:
                         continue
                     if lev == len(self.base):
@@ -388,10 +384,6 @@ class PermGroup:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def group_from_generators(degree, gens, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    return PermGroup(degree, gens, caps=caps)
 
 
 def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS):

@@ -11,14 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arith import digit_sum, p_part, p_prime_part, p_valuation, prime_factors
+from .arith import p_part, p_prime_part, p_valuation, prime_factors
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
     NotASubgroup,
     PermGroup,
     _compose,
     center,
-    centralizer,
     conjugacy_classes,
     derived_series,
     derived_subgroup,
@@ -33,15 +32,22 @@ from .perm import Permutation
 class NormalLattice:
     """The complete set of normal subgroups of an ambient group.
 
-    Built by closing the normal closures of conjugacy class representatives
-    under joins (every normal subgroup is a join of such closures); meets are
-    answered by intersection and membership lookup.
+    A normal subgroup is a union of conjugacy classes, so each member is an
+    int mask over ``conjugacy_classes(ambient)``: bit i is set when it holds
+    the representative of class i (bit 0 is the identity class). Meets, joins
+    and containment tests are integer operations on masks. A mask alone is no
+    proof of membership (in S4, <(1 2),(3 4)> has the order of V4 but is not
+    normal), so ``index_of`` checks the one candidate it names by ``same_group``.
     """
 
     def __init__(self, ambient: PermGroup, members):
         self.ambient = ambient
-        self.members = sorted(members, key=lambda m: m.order)
-        self._meet_cache = {}
+        self.members = sorted(members.values(), key=lambda m: m.order)  # members: {mask: group}
+        self._by_mask = members
+        self._masks = {m: mask for mask, m in members.items()}
+        self._index = {self._masks[m]: i for i, m in enumerate(self.members)}
+        self._reps = _class_seeds(ambient)[0]
+        self._full = (1 << len(self._reps)) - 1
 
     def __len__(self):
         return len(self.members)
@@ -50,108 +56,102 @@ class NormalLattice:
         return [m.order for m in self.members]
 
     def index_of(self, H: PermGroup):
-        for i, m in enumerate(self.members):
-            if m.same_group(H):
-                return i
-        raise NotASubgroup("subgroup is not a member of the normal lattice")
+        i = self._index.get(_class_mask(H, self._reps)) if H.degree == self.ambient.degree else None
+        if i is None or not self.members[i].same_group(H):
+            raise NotASubgroup("subgroup is not a member of the normal lattice")
+        return i
+
+    def _mask_of(self, H: PermGroup) -> int:
+        if H not in self._masks:
+            H = self.members[self.index_of(H)]
+        return self._masks[H]
+
+    def _meet_masks(self, masks) -> PermGroup:
+        out = self._full
+        for mask in masks:
+            out &= mask
+        return self._by_mask[out]
 
     def join(self, A: PermGroup, B: PermGroup) -> PermGroup:
-        return PermGroup(self.ambient.degree, A.generators + B.generators)
+        """The meet of every member that contains both (the lattice is complete)."""
+        union = self._mask_of(A) | self._mask_of(B)
+        return self._meet_masks(m for m in self._index if union & ~m == 0)
 
     def meet(self, A: PermGroup, B: PermGroup) -> PermGroup:
-        key = (self.index_of(A), self.index_of(B))
-        key = (min(key), max(key))
-        if key not in self._meet_cache:
-            got = intersection(A, B)
-            self._meet_cache[key] = self.members[self.index_of(got)]
-        return self._meet_cache[key]
+        return self._meet_masks((self._mask_of(A), self._mask_of(B)))
 
     def meet_all(self, groups) -> PermGroup:
         """Meet of a family of members; the empty meet is the ambient group."""
-        out = self.ambient
-        for H in groups:
-            out = intersection(out, H)
-        return out
+        return self._meet_masks(self._mask_of(H) for H in groups)
 
     def maximal_members(self):
         """Maximal proper normal subgroups."""
-        proper = [m for m in self.members if m.order < self.ambient.order]
-        out = []
-        for m in proper:
-            if not any(other.order > m.order and m.is_subgroup_of(other) for other in proper):
-                out.append(m)
-        return out
+        proper = [m for m in self._index if m != self._full]
+        return [self._by_mask[a] for a in proper if not any(a != b and a & ~b == 0 for b in proper)]
 
     def minimal_members(self):
         """Minimal nontrivial normal subgroups."""
-        nontrivial = [m for m in self.members if m.order > 1]
-        out = []
-        for m in nontrivial:
-            if not any(other.order < m.order and other.is_subgroup_of(m) for other in nontrivial):
-                out.append(m)
-        return out
+        nontrivial = [m for m in self._index if m != 1]
+        return [self._by_mask[a] for a in nontrivial if not any(a != b and b & ~a == 0 for b in nontrivial)]
+
+
+def _class_mask(H: PermGroup, reps) -> int:
+    return sum(1 << i for i, rep in enumerate(reps) if H.chain.contains(rep))
 
 
 def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """Normal closures of the conjugacy class representatives (cached).
+    """Class representatives (image tuples, identity first) and the distinct
+    normal closures of the others (cached).
 
-    Every normal subgroup is a join of these, so they seed the lattice; the
-    pi-cores are joins of subfamilies.
+    Every normal subgroup is a join of these closures, so they seed the
+    lattice; the pi-cores are joins of subfamilies.
     """
     if getattr(G, "_seeds", None) is None:
-        seeds = []
+        reps, seeds = [], []
         for rep, _size in conjugacy_classes(G, caps=caps):
+            reps.append(rep.images)
             if rep.is_identity():
                 continue
             s = normal_closure(G, [rep], caps=caps)
             if not any(t.order == s.order and t.same_group(s) for t in seeds):
                 seeds.append(s)
-        G._seeds = seeds
+        G._seeds = (reps, seeds)
     return G._seeds
 
 
 def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     if G._lattice is None:
         caps.check("lattice", G.order)
-        members = [PermGroup.trivial(G.degree), G]
-        for s in _class_seeds(G, caps=caps):
-            if not any(m.same_group(s) for m in members):
-                members.append(s)
-        # close under joins
+        reps, seeds = _class_seeds(G, caps=caps)
+        # top is a copy of G: a cycle G -> G._lattice -> G would outlive G until a full gc
+        top = PermGroup(G.degree, G.generators)
+        top._chain, top._seeds = G.chain, G._seeds
+        members = {1: PermGroup.trivial(G.degree), (1 << len(reps)) - 1: top}
+        for s in seeds:
+            members.setdefault(_class_mask(s, reps), s)
+        # close under joins; a join depends only on the union of the two
+        # masks, and is the member with that mask if there is one
+        known = set(members)  # unions whose join has been found
         frontier = list(members)
         while frontier:
-            new = []
+            new = {}
             for a in frontier:
                 for b in members:
-                    if a.is_subgroup_of(b) or b.is_subgroup_of(a):
+                    if a | b in known:
                         continue
-                    j = PermGroup(G.degree, a.generators + b.generators, caps=caps)
-                    if not any(m.same_group(j) for m in members) and not any(
-                        m.same_group(j) for m in new
-                    ):
-                        new.append(j)
-            members.extend(new)
-            frontier = new
-        G._lattice = NormalLattice(G, members)
+                    j = PermGroup(G.degree, members[a].generators + members[b].generators, caps=caps)
+                    mask = _class_mask(j, reps)
+                    known.update((a | b, mask))
+                    if mask not in members:
+                        new.setdefault(mask, j)
+            members.update(new)
+            frontier = list(new)
+        G._lattice = NormalLattice(top, members)
     return G._lattice
 
 
 # ---------------------------------------------------------------------------
 # cores, residuals, Fitting machinery
-
-
-def normal_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """The largest subgroup of H normal in G (fixpoint of conjugate meets)."""
-    K = H
-    while True:
-        changed = False
-        for g in G.generators:
-            Kg = K.conjugated(g)
-            if not Kg.same_group(K):
-                K = intersection(K, Kg, caps=caps)
-                changed = True
-        if not changed:
-            return K
 
 
 def pi_core(G: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -162,7 +162,7 @@ def pi_core(G: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """
     pi = set(pi)
     gens = []
-    for s in _class_seeds(G, caps=caps):
+    for s in _class_seeds(G, caps=caps)[1]:
         if set(prime_factors(s.order)) <= pi:
             gens.extend(s.generators)
     return PermGroup(G.degree, gens, caps=caps)
@@ -209,31 +209,31 @@ def components(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     they contain no perfect nontrivial subgroup. Memoised by element set
     within this ambient group only.
     """
-    memo = {}
+    return _components(G, {}, caps)
 
-    def comp(H):
-        key = (H.order, H.element_set())
-        if key in memo:
-            return memo[key]
-        if H.order == 1 or is_soluble(H, caps=caps):
-            out = []
-        elif is_quasisimple(H, caps=caps):
-            out = [H]
-        else:
-            out = []
-            seen = set()
-            for N in normal_lattice(H, caps=caps).members:
-                if N.order in (1, H.order):
-                    continue
-                for Q in comp(N):
-                    qkey = (Q.order, Q.element_set())
-                    if qkey not in seen:
-                        seen.add(qkey)
-                        out.append(Q)
-        memo[key] = out
-        return out
 
-    return comp(G)
+def _components(H: PermGroup, memo, caps: Caps):
+    # not a closure: a recursive closure keeps its memo in a reference cycle
+    key = (H.order, H.element_set())
+    if key in memo:
+        return memo[key]
+    if H.order == 1 or is_soluble(H, caps=caps):
+        out = []
+    elif is_quasisimple(H, caps=caps):
+        out = [H]
+    else:
+        out = []
+        seen = set()
+        for N in normal_lattice(H, caps=caps).members:
+            if N.order in (1, H.order):
+                continue
+            for Q in _components(N, memo, caps):
+                qkey = (Q.order, Q.element_set())
+                if qkey not in seen:
+                    seen.add(qkey)
+                    out.append(Q)
+    memo[key] = out
+    return out
 
 
 def fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -319,8 +319,10 @@ def oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     The empty family has meet G, so Ob_G(G) = G.
     """
     lat = normal_lattice(G, caps=caps)
-    core = lat.meet_all(m for m in lat.members if not m.is_subgroup_of(H))
-    return intersection(H, core, caps=caps)
+    h = lat._masks.get(H)
+    if h is not None:
+        return lat._meet_masks([h] + [m for m in lat._index if m & ~h])
+    return intersection(H, lat.meet_all(m for m in lat.members if not m.is_subgroup_of(H)), caps=caps)
 
 
 def all_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS, cap_name: str = "ob_star"):

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import legendre_factorial_valuation
+from .arith import is_prime, legendre_factorial_valuation
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
-from .group import PermGroup, affine_semidirect, wreath_imprimitive
+from .group import PermGroup, affine_semidirect, intersection, wreath_imprimitive
 from .hom import GroupHom
 from .lattice import fitting, intersection_of_small_normals, ob_function, oblique_core
-from .group import intersection
 from .perm import Permutation
 
 
@@ -55,6 +54,8 @@ class Tower:
 
 def cyclic_tower(p: int, depth: int, caps: Caps = DEFAULT_CAPS) -> Tower:
     """C_p <- C_{p^2} <- ... as cycles on p^i points."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     caps.check("degree", p**depth)
@@ -72,6 +73,8 @@ def wreath_tower(p: int, depth: int, caps: Caps = DEFAULT_CAPS) -> Tower:
     Level k is C_p wreathing level k-1 on p^{k-1} blocks of size p; the map
     to level k-1 is the action on blocks (killing the newest base).
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     caps.check("degree", p**depth)

@@ -1,14 +1,18 @@
+import weakref
+
 import pytest
 
 from oblique import (
     CapExceeded,
     Caps,
+    NotASubgroup,
     PermGroup,
     Permutation,
     aut_group_small,
     c_invariant,
     component_orbit_check,
     components,
+    conjugacy_classes,
     derived_subgroup,
     direct_product,
     fitting,
@@ -35,7 +39,7 @@ from oblique import (
 from oblique.arith import digit_sum
 from oblique.lattice import all_subgroups, phi_lhd_height, pgroup_rank
 
-from conftest import brute_all_subgroups, brute_normal_subgroups
+from conftest import brute_all_subgroups, brute_closure, brute_normal_subgroups
 
 
 def _tuple_inverse(g):
@@ -73,13 +77,34 @@ def test_lattice_members_are_normal(corpus):
             assert m.is_normal_in(G), name
 
 
-def test_lattice_closed_under_join_and_meet():
-    G = PermGroup.symmetric(4)
-    lat = normal_lattice(G)
-    for a in lat.members:
-        for b in lat.members:
-            lat.index_of(lat.join(a, b))
-            lat.index_of(lat.meet(a, b))
+def test_lattice_closed_under_join_and_meet(corpus):
+    for name in ("S4", "D6", "C12", "C2wrC2", "S3xS3", "A4xC2", "C3wrC2", "AGL22"):
+        G = corpus[name]
+        lat = normal_lattice(G)
+        for a in lat.members:
+            for b in lat.members:
+                join, meet = lat.join(a, b), lat.meet(a, b)
+                lat.index_of(join)
+                lat.index_of(meet)
+                assert meet.element_set() == a.element_set() & b.element_set(), name
+                gens = [g.images for g in a.generators + b.generators]
+                assert join.element_set() == brute_closure(G.degree, gens), name
+
+
+def test_index_of_rejects_non_normal_subgroup_of_normal_order():
+    lat = normal_lattice(PermGroup.symmetric(4))
+    with pytest.raises(NotASubgroup):
+        lat.index_of(PermGroup(4, [perm("(1 2)", 4), perm("(3 4)", 4)]))
+
+
+def test_cached_lattice_leaves_no_reference_cycle():
+    # a cycle back to the group would keep it, and every lattice and element
+    # list hanging off it, alive until a full garbage collection
+    G = PermGroup.symmetric(5)
+    assert phi_lhd_height(G) == 2 and len(components(G)) == 1
+    ref = weakref.ref(G)
+    del G
+    assert ref() is None
 
 
 def test_lattice_matches_brute_force_small(corpus):
@@ -290,6 +315,33 @@ def test_oblique_core_examples():
     assert oblique_core(S4, V4).order == 4
 
 
+def test_oblique_core_matches_class_union_oracle(corpus):
+    # Ob_G(H) = H n (meet of the normal N not inside H), for the lattice
+    # members and for the non-normal cyclic subgroups <x>
+    checked = 0
+    for name, G in corpus.items():
+        if G.order > 200:
+            continue
+        try:
+            normals = brute_normal_subgroups(G)
+        except ValueError:
+            continue
+        candidates = list(normal_lattice(G).members)
+        for x in G.generators + tuple(rep for rep, _ in conjugacy_classes(G)):
+            H = PermGroup(G.degree, [x])
+            if H.element_set() not in normals:
+                candidates.append(H)
+        for H in candidates:
+            h = frozenset(brute_closure(G.degree, [g.images for g in H.generators]))
+            expected = h
+            for N in normals:
+                if not N <= h:
+                    expected = expected & N
+            assert oblique_core(G, H).element_set() == expected, name
+            checked += H.element_set() not in normals
+    assert checked >= 50
+
+
 def test_ob_examples():
     C8 = PermGroup.cyclic(8)
     assert ob_function(C8, 5) == 4
@@ -346,8 +398,6 @@ def test_tate_examples():
 
 
 def test_tate_requires_full_sylow():
-    from oblique import NotASubgroup
-
     S4 = PermGroup.symmetric(4)
     with pytest.raises(NotASubgroup):
         tate_check(S4, PermGroup.alternating(4), 2)

@@ -211,6 +211,27 @@ def test_exit_code_1_on_bad_arguments():
     assert code == 1  # invariants has no CSV report
 
 
+def test_exit_code_1_on_cyclic_tower_with_non_prime():
+    code, out, err = run_cli("tower", "--family", "cyclic", "--params", "1,3")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "input", "message": "1 is not prime"}
+
+
+def test_exit_code_1_on_wreath_tower_with_non_prime():
+    code, out, err = run_cli("tower", "--family", "wreath", "--params", "4,2")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "input", "message": "4 is not prime"}
+
+
+def test_exit_code_1_on_unwritable_report_path(tmp_path):
+    commands = (("--json", ("invariants", "sym(4)")), ("--csv", ("ob-table", "sym(3)", "--max-n", "2")))
+    for flag, command in commands:
+        target = tmp_path / "missing" / "report.out"
+        code, out, err = run_cli(*command, flag, str(target))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "input"
+
+
 def test_exit_code_2_on_cap():
     code, out, err = run_cli("invariants", "sym(10)", "--cap-degree", "5")
     assert code == 2 and out == ""
