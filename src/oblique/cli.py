@@ -9,6 +9,7 @@ go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -49,7 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parser is a web of
+    reference cycles, so one per call would leave it all to the cyclic
+    garbage collector."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="report seed (computations are deterministic)")
     common.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
@@ -318,7 +323,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return code
 
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _InputError as exc:
         return diagnose("input", str(exc), 1)
     caps = _caps_from(args)

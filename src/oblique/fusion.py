@@ -15,6 +15,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .group import (
     NotASubgroup,
     PermGroup,
+    _generated,
     centralizer,
     conjugating_element,
     intersection,
@@ -127,14 +128,13 @@ def automizer(G: PermGroup, P: PermGroup, caps: Caps = DEFAULT_CAPS) -> Automize
     elems = sorted(P.element_tuples())
     index = {t: i for i, t in enumerate(elems)}
     npoints = max(len(elems), 1)
-    action = PermGroup.trivial(npoints)
-    gens = []
+    perms = []
     for n in N.generators:
         n_inv = n.inv()
-        perm = Permutation(tuple(index[(n_inv * Permutation(t) * n).images] for t in elems))
-        if not action.contains(perm):
-            action = PermGroup(npoints, action.generators + (perm,))
-            gens.append((n, perm))
+        perms.append(Permutation(tuple(index[(n_inv * Permutation(t) * n).images] for t in elems)))
+    action = _generated(npoints, [], perms)
+    conjugator = dict(zip(reversed(perms), reversed(N.generators)))  # the first n giving each perm
+    gens = [(conjugator[perm], perm) for perm in action.generators]
     if action.order != order:
         raise AssertionError("automizer action order mismatch")
     return Automizer(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .perm import Permutation
+from .perm import Permutation, _compose, _conj, _inverse
 
 
 class DegreeMismatch(ValueError):
@@ -29,133 +29,116 @@ class NotNormal(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# tuple-level permutation helpers (hot paths avoid Permutation objects)
-
-
-def _compose(a, b):
-    """(a then b) as image tuples."""
-    return tuple(map(b.__getitem__, a))
-
-
-def _inverse(a):
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
-
-
-def _conj(x, g, g_inv):
-    """x^g = g^-1 x g as image tuples."""
-    return tuple(g[x[g_inv[p]]] for p in range(len(g)))
-
-
 class StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain over image tuples.
+    """Deterministic incremental Schreier-Sims stabilizer chain over image tuples.
 
-    ``base_hint`` biases the choice of new base points: points earlier in the
-    hint are used first. This is how homomorphism kernels are extracted (fix
-    all codomain points first).
+    Level i has the base point ``base[i]``, the strong generators that fix
+    ``base[:i]`` pointwise, and the orbit of ``base[i]`` under them:
+    ``transversals[i]`` maps each orbit point p to a coset representative u
+    with ``base[i]^u == p``, and ``inverses[i]`` maps p to u^-1, computed once
+    when p joins the orbit.
+
+    The chain only grows. :meth:`extend` sifts an element and, if it is not
+    yet a member, adds the residue as a strong generator and re-completes the
+    levels it reaches. Orbits are extended in place, so a representative never
+    changes once chosen, and each level remembers which (orbit point, strong
+    generator) Schreier pairs it has already sifted, so completing a level
+    looks only at new pairs (incremental Schreier-Sims; Seress, *Permutation
+    Group Algorithms*, 2003, sec. 4.2). Construction is :meth:`extend` applied
+    to each generator in turn.
+
+    New base points are the first point the residue moves, except that
+    ``base_hint`` ranks points: earlier hinted points are used first.
+    ``forced_prefix`` fixes the first base points outright. This is how
+    homomorphism kernels are extracted (fix all codomain points first).
     """
 
     def __init__(self, degree, gen_tuples, base_hint=None, forced_prefix=None):
         self.degree = degree
         self.base = []
-        self.transversals = []  # per level: {point: coset rep u with base^u == point}
-        self._strong = []       # (perm tuple, deepest level it belongs to)
-        self._hint = list(base_hint) if base_hint is not None else []
-        self._hint_rank = {p: r for r, p in enumerate(self._hint)}
-        if forced_prefix:
-            for p in forced_prefix:
-                self.base.append(p)
-                self.transversals.append(None)
-        ident = tuple(range(degree))
+        self.transversals = []  # per level: {point p: coset rep u with base^u == p}
+        self.inverses = []      # per level: {point p: u^-1}
+        self._gens = []         # per level: (s, s^-1) for the strong generators s fixing base[:i], oldest first
+        self._orbits = []       # per level: orbit points in the order they joined
+        self._paired = []       # per level and orbit point: how many of _gens[i] it was paired with
+        self._ident = tuple(range(degree))
+        hint = list(base_hint) if base_hint is not None else []
+        self._hint_rank = {p: r for r, p in enumerate(hint)}
+        for p in forced_prefix or ():
+            self._add_level(p)
         for g in gen_tuples:
-            if g != ident:
-                self._add_generator(g)
-        for i in reversed(range(len(self.base))):
-            self._complete(i)
+            self.extend(g)
 
     # -- construction ------------------------------------------------------
 
-    def _pick_base_point(self, g):
-        moved = [i for i in range(self.degree) if g[i] != i]
-        moved.sort(key=lambda p: (self._hint_rank.get(p, len(self._hint)), p))
-        return moved[0]
+    def extend(self, g) -> bool:
+        """Add g to the group; returns False, changing nothing, if g is already in it."""
+        residue, lev = self._strip(g)
+        if residue == self._ident:
+            return False
+        self._add_strong(residue, lev)
+        for i in range(lev, -1, -1):
+            self._complete(i)
+        return True
 
-    def _level_of(self, g):
-        for i, b in enumerate(self.base):
-            if g[b] != b:
-                return i
-        return len(self.base)
+    def _add_level(self, b):
+        self.base.append(b)
+        self.transversals.append({b: self._ident})
+        self.inverses.append({b: self._ident})
+        self._gens.append([])
+        self._orbits.append([b])
+        self._paired.append([0])
 
-    def _add_generator(self, g):
-        lev = self._level_of(g)
+    def _add_strong(self, h, lev):
+        """Add h, which fixes base[:lev] and moves base[lev] (if it exists)."""
         if lev == len(self.base):
-            self.base.append(self._pick_base_point(g))
-            self.transversals.append(None)
-        self._strong.append((g, self._level_of(g)))
-
-    def _gens_at(self, i):
-        return [g for g, lev in self._strong if lev >= i]
-
-    def _orbit_update(self, i):
-        gens = self._gens_at(i)
-        b = self.base[i]
-        ident = tuple(range(self.degree))
-        transversal = {b: ident}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                u = transversal[p]
-                for g in gens:
-                    q = g[p]
-                    if q not in transversal:
-                        transversal[q] = _compose(u, g)
-                        nxt.append(q)
-            frontier = nxt
-        self.transversals[i] = transversal
+            moved = [i for i in range(self.degree) if h[i] != i]
+            rank = self._hint_rank
+            self._add_level(min(moved, key=lambda p: (rank.get(p, len(rank)), p)))
+        pair = (h, _inverse(h))
+        for gens in self._gens[: lev + 1]:
+            gens.append(pair)
 
     def _strip(self, g, start=0):
         for i in range(start, len(self.base)):
-            t = self.transversals[i]
-            p = g[self.base[i]]
-            if p not in t:
+            u_inv = self.inverses[i].get(g[self.base[i]])
+            if u_inv is None:
                 return g, i
-            g = _compose(g, _inverse(t[p]))
+            g = _compose(g, u_inv)
         return g, len(self.base)
 
     def _complete(self, i):
-        if i >= len(self.base):
-            return
-        self._orbit_update(i)
-        ident = tuple(range(self.degree))
-        done = False
-        while not done:
-            done = True
-            t = self.transversals[i]
-            gens = self._gens_at(i)
-            for p in list(t):
-                u = t[p]
-                for g in gens:
-                    ug = _compose(u, g)
-                    if ug == t[g[p]]:
-                        continue  # the Schreier generator u g t[g[p]]^-1 is trivial
-                    residue, lev = self._strip(_compose(ug, _inverse(t[g[p]])), i + 1)
-                    if residue == ident:
-                        continue
-                    if lev == len(self.base):
-                        self.base.append(self._pick_base_point(residue))
-                        self.transversals.append(None)
-                    self._strong.append((residue, self._level_of(residue)))
+        """Pair every orbit point of level i with every strong generator there:
+        a new image joins the orbit, any other pair gives a Schreier generator
+        that must sift through the deeper levels. A nontrivial residue becomes
+        a strong generator, and then every point has a new pair, so the scan
+        starts again from the first point."""
+        t, inv, gens = self.transversals[i], self.inverses[i], self._gens[i]
+        orbit, paired = self._orbits[i], self._paired[i]
+        ident = self._ident
+        k = 0
+        while k < len(orbit):
+            p, added = orbit[k], False
+            while paired[k] < len(gens) and not added:
+                s, s_inv = gens[paired[k]]
+                paired[k] += 1
+                q = s[p]
+                u = _compose(t[p], s)
+                if q not in t:  # a tree edge: its Schreier generator is trivial
+                    t[q] = u
+                    inv[q] = _compose(s_inv, inv[p])
+                    orbit.append(q)
+                    paired.append(0)
+                    continue
+                if u == t[q]:
+                    continue
+                residue, lev = self._strip(_compose(u, inv[q]), i + 1)
+                if residue != ident:
+                    self._add_strong(residue, lev)
                     for j in range(lev, i, -1):
                         self._complete(j)
-                    self._orbit_update(i)
-                    done = False
-                    break
-                if not done:
-                    break
+                    added = True
+            k = 0 if added else k + 1
 
     # -- queries -----------------------------------------------------------
 
@@ -166,26 +149,22 @@ class StabilizerChain:
             out *= len(t)
         return out
 
-    def sift(self, g):
-        residue, _ = self._strip(g)
-        return residue
-
     def contains(self, g):
-        return self.sift(g) == tuple(range(self.degree))
+        return self._strip(g)[0] == self._ident
 
     def strong_generators_fixing(self, k):
         """Strong generators fixing base[:k] pointwise."""
-        return [g for g, lev in self._strong if lev >= k]
+        return [s for s, _ in self._gens[k]] if k < len(self.base) else []
 
     def element_tuples(self):
         """All elements, deterministically ordered (coset products)."""
-        elems = [tuple(range(self.degree))]
+        elems = [self._ident]
         for t in reversed(self.transversals):
             elems = [_compose(e, u) for u in t.values() for e in elems]
         return elems
 
     def random_element(self, rng):
-        g = tuple(range(self.degree))
+        g = self._ident
         for t in reversed(self.transversals):
             reps = list(t.values())
             g = _compose(g, reps[rng.randrange(len(reps))])
@@ -317,45 +296,8 @@ class PermGroup:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
 
-    def is_perfect(self) -> bool:
-        return derived_subgroup(self).order == self.order
-
     def is_trivial(self) -> bool:
         return not self.generators
-
-    def exponent_primes(self):
-        """Primes dividing the group order."""
-        from .arith import prime_factors
-
-        return prime_factors(self.order)
-
-    def is_pgroup(self, p=None):
-        primes = self.exponent_primes()
-        if p is None:
-            return len(primes) <= 1
-        return primes in ([], [p])
-
-    def orbits(self):
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for g in self.generators:
-                        q = g(p)
-                        if not seen[q]:
-                            seen[q] = True
-                            orbit.append(q)
-                            nxt.append(q)
-                frontier = nxt
-            out.append(orbit)
-        return out
 
     # -- sympy bridge ----------------------------------------------------------
 
@@ -430,16 +372,10 @@ def normal_closure(G: PermGroup, xs, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     for x in xs:
         if not G.contains(x):
             raise NotASubgroup(f"element {x} is not in the ambient group")
-    H = PermGroup(G.degree, xs, caps=caps)
-    queue = list(H.generators)
-    while queue:
-        x = queue.pop(0)
-        for g in G.generators:
-            c = x.conj(g)
-            if not H.contains(c):
-                H = PermGroup(G.degree, H.generators + (c,), caps=caps)
-                queue.append(c)
-    return H
+    gens = [x for x in xs if not x.is_identity()]
+    # reads gens while _generated appends to it: each new conjugate is conjugated in turn
+    conjugates = (x.conj(g) for x in gens for g in G.generators)
+    return _generated(G.degree, gens, conjugates, caps)
 
 
 def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -549,11 +485,26 @@ def sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return S
 
 
+def _generated(degree, gens, candidates, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """The group generated by the Permutations ``gens`` and ``candidates``.
+
+    Its generators are ``gens`` followed by each candidate that is not in the
+    group generated before it. One chain is extended throughout, and the kept
+    candidates are appended to the list ``gens`` as they are found, so
+    ``candidates`` may be a lazy iterable that reads ``gens``.
+    """
+    caps.check("degree", degree)
+    chain = StabilizerChain(degree, [g.images for g in gens])
+    for c in candidates:
+        if chain.extend(c.images):
+            gens.append(c)
+    H = PermGroup(degree, gens, caps=caps)
+    H._chain = chain
+    return H
+
+
 def _group_from_elements(degree, elems, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    H = PermGroup.trivial(degree)
-    for e in elems:
-        if not H.contains(e):
-            H = PermGroup(degree, H.generators + (e,), caps=caps)
+    H = _generated(degree, [], elems, caps)
     H._elements = [e.images for e in elems] if len(elems) == H.order else None
     return H
 

@@ -9,12 +9,17 @@ generator assignment extends to a homomorphism. All element-level operations
 from __future__ import annotations
 
 from .caps import DEFAULT_CAPS, Caps
-from .group import NotASubgroup, PermGroup, StabilizerChain, _compose, _inverse
-from .perm import Permutation
+from .group import NotASubgroup, PermGroup, StabilizerChain
+from .perm import Permutation, _compose, _inverse
 
 
 class NotAHomomorphism(ValueError):
     pass
+
+
+def _split(pair, dG):
+    """A pair-group element (g, phi(g)) on dG + dH points, as the tuples g and phi(g)."""
+    return pair[:dG], tuple(q - dG for q in pair[dG:])
 
 
 class GroupHom:
@@ -72,17 +77,12 @@ class GroupHom:
         cur = x.images
         sec = tuple(range(dH))
         for i, b in enumerate(chain.base):
-            t = chain.transversals[i]
-            p = cur[b]
-            if p == b and b not in t:
-                continue
-            if p not in t:
+            u_inv = chain.inverses[i].get(cur[b])
+            if u_inv is None:
                 raise NotASubgroup(f"element {x} is not in the domain")
-            u = t[p]
-            u_first = tuple(u[:dG])
-            u_second = tuple(q - dG for q in u[dG:])
-            cur = _compose(cur, _inverse(u_first))
-            sec = _compose(sec, _inverse(u_second))
+            first, second = _split(u_inv, dG)
+            cur = _compose(cur, first)
+            sec = _compose(sec, second)
         if cur != tuple(range(dG)):
             raise NotASubgroup(f"element {x} is not in the domain")
         return Permutation(_inverse(sec))
@@ -118,16 +118,12 @@ class GroupHom:
         cur = y.images
         acc = tuple(range(dG))
         for i in range(self._cod_prefix):
-            b = chain.base[i]
-            t = chain.transversals[i]
-            p = dG + cur[b - dG]
-            if p not in t:
+            u_inv = chain.inverses[i].get(dG + cur[chain.base[i] - dG])
+            if u_inv is None:
                 raise NotASubgroup(f"element {y} is not in the image")
-            u = t[p]
-            u_first = tuple(u[:dG])
-            u_second = tuple(q - dG for q in u[dG:])
-            cur = _compose(cur, _inverse(u_second))
-            acc = _compose(acc, _inverse(u_first))
+            first, second = _split(u_inv, dG)
+            cur = _compose(cur, second)
+            acc = _compose(acc, first)
         if cur != tuple(range(dH)):
             raise NotASubgroup(f"element {y} is not in the image")
         return Permutation(_inverse(acc))

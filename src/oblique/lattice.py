@@ -16,7 +16,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .group import (
     NotASubgroup,
     PermGroup,
-    _compose,
+    _generated,
     center,
     conjugacy_classes,
     derived_series,
@@ -26,7 +26,7 @@ from .group import (
     quotient_action,
     sylow,
 )
-from .perm import Permutation
+from .perm import Permutation, _compose
 
 
 class NormalLattice:
@@ -469,13 +469,7 @@ class AutGroup:
 
 
 def _reduced_generators(G: PermGroup):
-    gens = []
-    H = PermGroup.trivial(G.degree)
-    for g in sorted(G.generators, key=lambda x: x.images):
-        if not H.contains(g):
-            gens.append(g)
-            H = PermGroup(G.degree, H.generators + (g,))
-    return gens
+    return list(_generated(G.degree, [], sorted(G.generators, key=lambda x: x.images)).generators)
 
 
 def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
@@ -531,11 +525,7 @@ def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
         if ok:
             maps.append(tuple(index[t] for t in phi))
     # as a permutation group on the nontrivial elements
-    action = PermGroup.trivial(max(n - 1, 1))
-    for m in maps:
-        perm = Permutation(tuple(v - 1 for v in m[1:]))
-        if not action.contains(perm):
-            action = PermGroup(max(n - 1, 1), action.generators + (perm,))
+    action = _generated(max(n - 1, 1), [], (Permutation(tuple(v - 1 for v in m[1:])) for m in maps))
     if action.order != len(maps):
         raise AssertionError("automorphism action order mismatch")
     return AutGroup(G, [Permutation(t) for t in elems], maps, action)

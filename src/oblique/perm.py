@@ -11,10 +11,34 @@ from __future__ import annotations
 import re
 from functools import reduce
 from math import lcm
+from operator import itemgetter
 
 
 class MalformedPermutation(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# the kernel on image tuples (hot paths avoid Permutation objects)
+
+
+def _compose(a, b):
+    """(a then b) as image tuples."""
+    # itemgetter of several indices returns a tuple, several times faster than
+    # a Python-level loop; of a single index it returns the bare item
+    return itemgetter(*a)(b) if len(a) > 1 else tuple(b[i] for i in a)
+
+
+def _inverse(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def _conj(x, g, g_inv):
+    """x^g = g^-1 x g as image tuples."""
+    return _compose(_compose(g_inv, x), g)
 
 
 class Permutation:
@@ -55,14 +79,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch in product")
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
+        return Permutation(_compose(self.images, other.images))
 
     def inv(self) -> "Permutation":
-        images = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Permutation(images)
+        return Permutation(_inverse(self.images))
 
     def __invert__(self) -> "Permutation":
         return self.inv()
@@ -81,12 +101,7 @@ class Permutation:
 
     def conj(self, g: "Permutation") -> "Permutation":
         """self ** g = g^-1 * self * g."""
-        gi = g.images
-        inv = [0] * len(gi)
-        for i, j in enumerate(gi):
-            inv[j] = i
-        s = self.images
-        return Permutation(tuple(gi[s[inv[p]]] for p in range(len(gi))))
+        return Permutation(_conj(self.images, g.images, _inverse(g.images)))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         return self.inv() * other.inv() * self * other

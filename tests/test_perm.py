@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oblique import MalformedPermutation, Permutation
@@ -39,6 +41,16 @@ def test_conjugation_convention():
     assert x.conj(g) == g.inv() * x * g
     # conjugation preserves cycle type and relabels points by g
     assert x.conj(g) == Permutation.from_cycles([[1, 2]], 3)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 9])
+def test_kernel_matches_pointwise_definitions(degree):
+    rng = random.Random(degree)
+    a, g = (Permutation(rng.sample(range(degree), degree)) for _ in range(2))
+    points = range(degree)
+    assert (a * g).images == tuple(g(a(p)) for p in points)
+    assert tuple(a.inv()(a(p)) for p in points) == tuple(points)
+    assert a.conj(g).images == tuple(g(a(g.inv()(p))) for p in points)
 
 
 def test_commutator():

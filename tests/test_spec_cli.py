@@ -1,5 +1,8 @@
+import argparse
+import gc
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +247,38 @@ def test_global_flags_after_subcommand():
     code, out, _ = run_cli("invariants", "sym(3)", "--seed", "7")
     assert code == 0
     assert json.loads(out)["provenance"]["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# byte stability and process hygiene
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("ob_table_s4xs4.json", ("ob-table", "direct(sym(4),sym(4))", "--max-n", "12")),
+        ("tower_fitting_2_11.json", ("tower", "--family", "fitting", "--params", "2,11", "--max-n", "2")),
+        ("invariants_a5xs4.json", ("invariants", "direct(alt(5),sym(4))")),
+    ],
+)
+def test_report_bytes_match_golden(name, argv):
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_repeated_main_leaves_no_argparse_garbage():
+    argv = ("ob-table", "sym(4)", "--max-n", "2")
+    run_cli(*argv)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli(*argv)[0] == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser) or type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
