@@ -2,16 +2,34 @@
 
 from __future__ import annotations
 
-from sympy import factorint, isprime
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
-    return isprime(n)
+    """Trial division below 2**32; sympy's test (imported on demand) above."""
+    if n >= 1 << 32:
+        from sympy import isprime
+
+        return bool(isprime(n))
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def prime_factors(n: int):
-    """Sorted distinct prime divisors of n."""
-    return sorted(factorint(n)) if n > 1 else []
+    """Sorted distinct prime divisors of n, by trial division.
+
+    Meant for group orders: every prime divisor of the order of a permutation
+    group is at most its degree, so the divisors tried stay small.
+    """
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def p_part(n: int, p: int) -> int:

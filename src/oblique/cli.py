@@ -98,6 +98,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _caps_from(args):
+    for name, value in vars(args).items():
+        if name.startswith("cap_") and value is not None and value < 1:
+            raise _InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
     return DEFAULT_CAPS.with_overrides(
         degree=args.cap_degree,
         order_enum=args.cap_order,
@@ -326,8 +329,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         args = _parser().parse_args(argv)
     except _InputError as exc:
         return diagnose("input", str(exc), 1)
-    caps = _caps_from(args)
     try:
+        caps = _caps_from(args)
         report, csv_payload = _COMMANDS[args.command](args, caps)
         _emit(report, csv_payload, args, stdout)
     except CapExceeded as exc:

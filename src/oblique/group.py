@@ -2,8 +2,12 @@
 
 The chain (Schreier-Sims) certifies order and membership; base points are
 always the first moved point not yet fixed, so construction is deterministic
-for identical input. Heavy backtrack searches (centralizer, normalizer,
-Sylow) are delegated to sympy.combinatorics behind this module's interface.
+for identical input. Centralizers, normalizers and Sylow subgroups of
+groups of order at most ``_BRUTE_SEARCH_LIMIT`` are computed here from the
+element list; above it they are delegated to sympy.combinatorics's backtrack
+searches through :func:`_backend`, with sympy's random generator seeded to a
+fixed value so that its answers repeat from run to run. sympy is imported
+only then.
 
 Subgroups always live in the ambient degree of their parent; nothing is
 re-indexed.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arith import is_prime, p_part, p_valuation
 from .caps import DEFAULT_CAPS, Caps
 from .perm import Permutation, _compose, _conj, _inverse
 
@@ -437,7 +442,7 @@ def centralizer(G: PermGroup, x, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     from sympy.combinatorics import PermutationGroup as SGroup
 
     sH = SGroup([SPerm(list(t.images)) for t in targets])
-    return G._from_sympy(sG.centralizer(sH))
+    return G._from_sympy(_backend(sG, "centralizer", sH))
 
 
 def center(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -467,22 +472,85 @@ def normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
         arr_inv = _inverse(arr)
         return all(chain.contains(_conj(x, arr, arr_inv)) for x in hgens)
 
-    return G._from_sympy(sG.subgroup_search(prop))
+    return G._from_sympy(_backend(sG, "subgroup_search", prop))
 
 
 def sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """A Sylow p-subgroup of G (trivial if p does not divide |G|)."""
-    from .arith import is_prime, p_part
+    """A Sylow p-subgroup of G (trivial if p does not divide |G|).
 
+    At or below ``_BRUTE_SEARCH_LIMIT`` elements it is grown in-house from the
+    p-elements of G (see :func:`_grow_sylow`); above, sympy computes it.
+    Either way the answer depends only on G's generators.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = p_part(G.order, p)
     if target == 1:
         return PermGroup.trivial(G.degree)
-    S = G._from_sympy(G.to_sympy().sylow_subgroup(p))
+    if G.order <= _BRUTE_SEARCH_LIMIT:
+        S = _grow_sylow(G, p, target, caps)
+    else:
+        S = G._from_sympy(_backend(G.to_sympy(), "sylow_subgroup", p))
     if S.order != target:
-        raise AssertionError(f"sylow backend returned order {S.order}, expected {target}")
+        raise AssertionError(f"Sylow subgroup found has order {S.order}, expected {target}")
     return S
+
+
+def _is_p_element(g, p) -> bool:
+    """Whether every cycle of the image tuple g has p-power length."""
+    seen = bytearray(len(g))
+    for start in range(len(g)):
+        n, j = 0, start
+        while not seen[j]:
+            seen[j] = 1
+            j = g[j]
+            n += 1
+        while n and n % p == 0:
+            n //= p
+        if n > 1:
+            return False
+    return True
+
+
+def _grow_sylow(G: PermGroup, p: int, target: int, caps: Caps) -> PermGroup:
+    """Grow a p-subgroup P of G on one chain until it has order ``target``.
+
+    Passes over the p-elements of G in element order keep each x outside P
+    that normalizes P; then <P, x> = P<x> is again a p-group. While P is not
+    Sylow, P < N_S(P) for a Sylow S containing P, so N_G(P) has a p-element
+    outside P and every pass grows P: log_p(target) passes suffice.
+    """
+    caps.check("order_enum", G.order)
+    p_elems = [x for x in G.element_tuples() if _is_p_element(x, p)]
+    chain = StabilizerChain(G.degree, [])
+    gens = []
+    for _ in range(p_valuation(target, p)):
+        for x in p_elems:
+            if chain.order == target:
+                break
+            if chain.contains(x):
+                continue
+            x_inv = _inverse(x)
+            if all(chain.contains(_conj(s, x, x_inv)) for s in gens):
+                chain.extend(x)
+                gens.append(x)
+    S = PermGroup(G.degree, gens, caps=caps)
+    S._chain = chain
+    return S
+
+
+def _backend(sgroup, method: str, *args):
+    """``sgroup.method(*args)`` with sympy's random generator seeded to a fixed
+    value, so that its randomized algorithms give the same answer every run.
+    The generator's previous state is restored afterwards."""
+    from sympy.core.random import rng
+
+    state = rng.getstate()
+    rng.seed(0)
+    try:
+        return getattr(sgroup, method)(*args)
+    finally:
+        rng.setstate(state)
 
 
 def _generated(degree, gens, candidates, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -659,8 +727,6 @@ def affine_semidirect(p: int, d: int, mats, caps: Caps = DEFAULT_CAPS) -> PermGr
     Vector v corresponds to point sum(v[i] * p^i). Raises on singular
     matrices or p^d beyond the degree cap.
     """
-    from .arith import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     degree = p**d

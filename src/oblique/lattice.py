@@ -107,6 +107,7 @@ def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     lattice; the pi-cores are joins of subfamilies.
     """
     if getattr(G, "_seeds", None) is None:
+        caps.check("lattice", G.order)
         reps, seeds = [], []
         for rep, _size in conjugacy_classes(G, caps=caps):
             reps.append(rep.images)

@@ -142,6 +142,14 @@ def test_pi_core_examples():
     assert pi_core(PermGroup.symmetric(4), {5}).order == 1
 
 
+def test_pi_core_checks_the_lattice_cap_before_listing_classes():
+    G = PermGroup.symmetric(9)
+    with pytest.raises(CapExceeded) as err:
+        pi_core(G, {2}, caps=Caps(lattice=10))
+    assert err.value.cap_name == "lattice"
+    assert G._elements is None and getattr(G, "_seeds", None) is None
+
+
 def test_pi_core_is_largest_normal_pi_subgroup(corpus):
     from oblique.arith import prime_factors
 

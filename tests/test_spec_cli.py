@@ -2,6 +2,9 @@ import argparse
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,6 +246,14 @@ def test_exit_code_2_on_cap():
     assert "degree" in diag["message"]
 
 
+def test_exit_code_1_on_cap_below_one():
+    for flag, value in (("--cap-lattice", "-5"), ("--cap-order", "0"), ("--cap-aut", "-1")):
+        code, out, err = run_cli("invariants", "sym(4)", flag, value)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "input", "message": f"{flag} must be at least 1, got {value}"}
+
+
 def test_global_flags_after_subcommand():
     code, out, _ = run_cli("invariants", "sym(3)", "--seed", "7")
     assert code == 0
@@ -282,3 +293,29 @@ def test_repeated_main_leaves_no_argparse_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == []
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(*args, **env):
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_importing_the_cli_does_not_load_sympy():
+    code = "import sys, oblique.cli; print('sympy' in sys.modules)"
+    assert run_process("-c", code) == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fusion", "direct(alt(4),sym(4))", "--p", "2"),  # in-house Sylow
+        ("fusion", "direct(sym(5),sym(5))", "--p", "3"),  # order 14400: sympy Sylow
+    ],
+)
+def test_fusion_report_bytes_repeat_across_processes(argv):
+    outputs = {run_process("-m", "oblique.cli", *argv, PYTHONHASHSEED=str(seed)) for seed in range(3)}
+    assert len(outputs) == 1
