@@ -15,16 +15,15 @@ from .caps import DEFAULT_CAPS, Caps
 from .group import (
     NotASubgroup,
     PermGroup,
+    _conjugating_elements,
     _generated,
     centralizer,
-    conjugating_element,
-    intersection,
     normalizer,
     quotient_action,
     sylow,
 )
 from .lattice import all_subgroups, pi_core
-from .perm import Permutation
+from .perm import Permutation, _conj, _inverse
 
 
 @dataclass
@@ -64,6 +63,13 @@ class FusionTable:
     fully_normalized: list = field(default_factory=list)  # per fusion class: subgroup id
     automizers: list = field(default_factory=list)  # per s-class
     completed: bool = False
+    _normalizers: dict = field(default_factory=dict, init=False, repr=False)  # subgroup id -> N_G(P)
+
+    def ambient_normalizer(self, sid: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+        """N_G(P) for the subgroup with id ``sid``, computed once per table."""
+        if sid not in self._normalizers:
+            self._normalizers[sid] = normalizer(self.ambient, self.subgroups[sid], caps=caps)
+        return self._normalizers[sid]
 
     def fused(self, i: int, j: int) -> bool:
         return self.fusion_class_of[i] == self.fusion_class_of[j]
@@ -87,6 +93,7 @@ def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     S = sylow(G, p, caps=caps)
     subgroups = sorted(all_subgroups(S, caps=caps, cap_name="aut"), key=_subgroup_key)
     by_set = {H.element_set(): i for i, H in enumerate(subgroups)}
+    s_gens = [(g, g.images, _inverse(g.images)) for g in S.generators]
     assigned = {}
     s_classes = []
     for i, H in enumerate(subgroups):
@@ -99,9 +106,9 @@ def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
         while frontier:
             nxt = []
             for j in frontier:
-                K = subgroups[j]
-                for g in S.generators:
-                    img = by_set[K.conjugated(g).element_set()]
+                K = subgroups[j].element_tuples()
+                for g, g_img, g_inv in s_gens:
+                    img = by_set[frozenset(_conj(x, g_img, g_inv) for x in K)]
                     if img not in assigned:
                         assigned[img] = cid
                         witnesses[img] = witnesses[j] * g
@@ -119,20 +126,26 @@ def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
 
 
 def automizer(G: PermGroup, P: PermGroup, caps: Caps = DEFAULT_CAPS) -> Automizer:
-    """The automorphisms of P induced by N_G(P)."""
+    """The automorphisms of P induced by N_G(P), a group of order |N_G(P) : C_G(P)|.
+
+    C_G(P) lies in N_G(P), so it is searched for in N_G(P) rather than in G.
+    """
     if not P.is_subgroup_of(G):
         raise NotASubgroup("automizer requires P <= G")
-    N = normalizer(G, P, caps=caps)
-    C = centralizer(G, P, caps=caps)
-    order = N.order // C.order
+    return _automizer(P, normalizer(G, P, caps=caps), caps)
+
+
+def _automizer(P: PermGroup, N: PermGroup, caps: Caps) -> Automizer:
+    """The automizer of P, given N = N_G(P)."""
+    order = N.order // centralizer(N, P, caps=caps).order
     elems = sorted(P.element_tuples())
     index = {t: i for i, t in enumerate(elems)}
     npoints = max(len(elems), 1)
     perms = []
     for n in N.generators:
-        n_inv = n.inv()
-        perms.append(Permutation(tuple(index[(n_inv * Permutation(t) * n).images] for t in elems)))
-    action = _generated(npoints, [], perms)
+        n_inv = _inverse(n.images)
+        perms.append(Permutation(tuple(index[_conj(t, n.images, n_inv)] for t in elems)))
+    action = _generated(npoints, [], perms, caps)
     conjugator = dict(zip(reversed(perms), reversed(N.generators)))  # the first n giving each perm
     gens = [(conjugator[perm], perm) for perm in action.generators]
     if action.order != order:
@@ -152,12 +165,13 @@ def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> Fus
     reps = [table.subgroups[c.rep_id] for c in table.s_classes]
     k = len(reps)
     for i in range(k):
-        for j in range(i + 1, k):
-            if reps[i].order != reps[j].order:
-                continue
-            w = conjugating_element(G, reps[i], reps[j], caps=caps)
+        later = [j for j in range(i + 1, k) if reps[j].order == reps[i].order]
+        if not later:
+            continue
+        found = _conjugating_elements(G, reps[i], [reps[j] for j in later], caps=caps)
+        for j, w in zip(later, found):
             if w is not None:
-                if not reps[i].conjugated(w).same_group(reps[j]):
+                if not reps[i].conjugated(w, caps=caps).same_group(reps[j]):
                     raise AssertionError("fusion witness failed verification")
                 table.g_fusion[(i, j)] = w
     # union-find over direct witnesses (transitivity gives the full relation)
@@ -186,11 +200,12 @@ def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> Fus
         fidx = table.fusion_class_of[table.class_of_subgroup[best]]
         table.fully_normalized[fidx] = best
         # Sylow's theorem guarantees some conjugate has N_S(P) Sylow in N_G(P)
-        ng = normalizer(G, table.subgroups[best], caps=caps)
+        ng = table.ambient_normalizer(best, caps=caps)
         if p_valuation(ng.order, table.p) != p_valuation(best_norm, table.p):
             raise AssertionError("no fully normalized representative found")
     table.automizers = [
-        automizer(G, table.subgroups[c.rep_id], caps=caps) for c in table.s_classes
+        _automizer(table.subgroups[c.rep_id], table.ambient_normalizer(c.rep_id, caps=caps), caps)
+        for c in table.s_classes
     ]
     table.completed = True
     return table
@@ -234,11 +249,8 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
     moves = {i: [] for i in range(len(subgroups))}  # source id -> LocalMoves
 
     def add_move(kind, element, src, fusion_class=-1, gen_index=-1):
-        img_set = frozenset(
-            (element.inv() * Permutation(t) * element).images
-            for t in subgroups[src].element_tuples()
-        )
-        tgt = by_set[img_set]
+        g_inv = _inverse(element.images)
+        tgt = by_set[frozenset(_conj(t, element.images, g_inv) for t in subgroups[src].element_tuples())]
         moves[src].append(LocalMove(kind, element, src, tgt, fusion_class, gen_index))
 
     for cls in table.s_classes:
@@ -250,7 +262,7 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
     for rid in sorted(locals_sources):
         R = subgroups[rid]
         fcls = table.fusion_class_of[table.class_of_subgroup[rid]]
-        N = normalizer(G, R, caps=caps)
+        N = table.ambient_normalizer(rid, caps=caps)
         for gi, n in enumerate(N.generators):
             for qid, Q in enumerate(subgroups):
                 if Q.is_subgroup_of(R):
@@ -304,7 +316,7 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
             total = G.identity()
             for mv in chain:
                 total = total * mv.element
-            if not subgroups[base].conjugated(total).same_group(subgroups[rep]):
+            if not subgroups[base].conjugated(total, caps=caps).same_group(subgroups[rep]):
                 raise AssertionError("factorization chain failed verification")
             chains[(fclass[0], cid)] = chain
     return ok, chains, table

@@ -4,10 +4,12 @@ The chain (Schreier-Sims) certifies order and membership; base points are
 always the first moved point not yet fixed, so construction is deterministic
 for identical input. Centralizers, normalizers and Sylow subgroups of
 groups of order at most ``_BRUTE_SEARCH_LIMIT`` are computed here from the
-element list; above it they are delegated to sympy.combinatorics's backtrack
-searches through :func:`_backend`, with sympy's random generator seeded to a
-fixed value so that its answers repeat from run to run. sympy is imported
-only then.
+element list: centralizers, normalizers and intersections are filters over
+the image tuples of the element list (:func:`_subgroup_where`), which grow
+one chain from the elements that pass. Above the limit they are delegated to
+sympy.combinatorics's backtrack searches through :func:`_backend`, with
+sympy's random generator seeded to a fixed value so that its answers repeat
+from run to run. sympy is imported only then.
 
 Subgroups always live in the ambient degree of their parent; nothing is
 re-indexed.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import is_prime, p_part, p_valuation
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, CapExceeded, Caps
 from .perm import Permutation, _compose, _conj, _inverse
 
 
@@ -200,6 +202,7 @@ class PermGroup:
         self._elements = None
         self._sympy = None
         self._lattice = None
+        self._subgroups = None
 
     # -- constructions -----------------------------------------------------
 
@@ -260,8 +263,6 @@ class PermGroup:
     def element_tuples(self, cap=None):
         if self._elements is None:
             if cap is not None and self.order > cap:
-                from .caps import CapExceeded
-
                 raise CapExceeded("order_enum", cap, self.order)
             self._elements = self.chain.element_tuples()
         return self._elements
@@ -294,8 +295,8 @@ class PermGroup:
     def normalizes(self, other: "PermGroup") -> bool:
         return all(other.contains(x.conj(g)) for x in other.generators for g in self.generators)
 
-    def conjugated(self, g: Permutation) -> "PermGroup":
-        return PermGroup(self.degree, [x.conj(g) for x in self.generators])
+    def conjugated(self, g: Permutation, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
+        return PermGroup(self.degree, [x.conj(g) for x in self.generators], caps=caps)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -317,13 +318,13 @@ class PermGroup:
                 self._sympy = SGroup([SPerm(list(range(self.degree)))])
         return self._sympy
 
-    def _from_sympy(self, sgroup) -> "PermGroup":
+    def _from_sympy(self, sgroup, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
         gens = []
         for g in sgroup.generators:
             arr = g.array_form
             arr = arr + list(range(len(arr), self.degree))
             gens.append(Permutation(arr))
-        return PermGroup(self.degree, gens)
+        return PermGroup(self.degree, gens, caps=caps)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order}, gens={[str(g) for g in self.generators]})"
@@ -431,18 +432,13 @@ def centralizer(G: PermGroup, x, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         return G
     if G.order <= _BRUTE_SEARCH_LIMIT:
         t_imgs = [t.images for t in targets]
-        found = [
-            Permutation(e)
-            for e in G.element_tuples()
-            if all(_compose(e, t) == _compose(t, e) for t in t_imgs)
-        ]
-        return _group_from_elements(G.degree, found, caps)
+        return _subgroup_where(G, lambda e: all(_compose(e, t) == _compose(t, e) for t in t_imgs), caps)
     sG = G.to_sympy()
     from sympy.combinatorics import Permutation as SPerm
     from sympy.combinatorics import PermutationGroup as SGroup
 
     sH = SGroup([SPerm(list(t.images)) for t in targets])
-    return G._from_sympy(_backend(sG, "centralizer", sH))
+    return G._from_sympy(_backend(sG, "centralizer", sH), caps)
 
 
 def center(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -455,15 +451,16 @@ def normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
         raise NotASubgroup("normalizer requires H <= G")
     if H.is_trivial():
         return G
-    if G.order <= _BRUTE_SEARCH_LIMIT:
-        found = []
-        for e in G.element_tuples():
-            g = Permutation(e)
-            if all(H.contains(x.conj(g)) for x in H.generators):
-                found.append(g)
-        return _group_from_elements(G.degree, found, caps)
-    sG = G.to_sympy()
     hgens = [g.images for g in H.generators]
+    if G.order <= _BRUTE_SEARCH_LIMIT:
+        members = H.element_set()
+
+        def normalizes(e):
+            e_inv = _inverse(e)
+            return all(_conj(x, e, e_inv) in members for x in hgens)
+
+        return _subgroup_where(G, normalizes, caps)
+    sG = G.to_sympy()
     chain = H.chain
 
     def prop(sg):
@@ -472,7 +469,7 @@ def normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
         arr_inv = _inverse(arr)
         return all(chain.contains(_conj(x, arr, arr_inv)) for x in hgens)
 
-    return G._from_sympy(_backend(sG, "subgroup_search", prop))
+    return G._from_sympy(_backend(sG, "subgroup_search", prop), caps)
 
 
 def sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -486,11 +483,11 @@ def sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         raise ValueError(f"{p} is not prime")
     target = p_part(G.order, p)
     if target == 1:
-        return PermGroup.trivial(G.degree)
+        return PermGroup.trivial(G.degree, caps=caps)
     if G.order <= _BRUTE_SEARCH_LIMIT:
         S = _grow_sylow(G, p, target, caps)
     else:
-        S = G._from_sympy(_backend(G.to_sympy(), "sylow_subgroup", p))
+        S = G._from_sympy(_backend(G.to_sympy(), "sylow_subgroup", p), caps)
     if S.order != target:
         raise AssertionError(f"Sylow subgroup found has order {S.order}, expected {target}")
     return S
@@ -571,9 +568,19 @@ def _generated(degree, gens, candidates, caps: Caps = DEFAULT_CAPS) -> PermGroup
     return H
 
 
-def _group_from_elements(degree, elems, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    H = _generated(degree, [], elems, caps)
-    H._elements = [e.images for e in elems] if len(elems) == H.order else None
+def _subgroup_where(G: PermGroup, test, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """The subgroup of the elements e of G, as image tuples, with ``test(e)`` true.
+
+    The elements that pass must form a subgroup. They are kept in
+    ``G.element_tuples()`` order as the new group's element list, and each
+    one that extends the single growing chain becomes a generator, so the
+    generators depend only on G's element order and the test.
+    """
+    caps.check("order_enum", G.order)
+    chain = StabilizerChain(G.degree, [])
+    kept = [e for e in G.element_tuples() if test(e)]
+    H = PermGroup(G.degree, [e for e in kept if chain.extend(e)], caps=caps)
+    H._chain, H._elements = chain, kept
     return H
 
 
@@ -581,45 +588,50 @@ def intersection(A: PermGroup, B: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     if A.degree != B.degree:
         raise DegreeMismatch("intersection degree mismatch")
     small, big = (A, B) if A.order <= B.order else (B, A)
-    caps.check("order_enum", small.order)
-    found = [Permutation(e) for e in small.element_tuples() if big.chain.contains(e)]
-    return _group_from_elements(A.degree, found, caps)
+    return _subgroup_where(small, big.chain.contains, caps)
 
 
 def conjugating_element(G: PermGroup, A: PermGroup, B: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """Some g in G with A^g = B, or None (search is exhaustive).
-
-    Walks the G-orbit of A's element set under generator conjugation,
-    tracking witnesses.
-    """
+    """Some g in G with A^g = B, or None (search is exhaustive)."""
     if A.order != B.order:
         return None
+    return _conjugating_elements(G, A, [B], caps)[0]
+
+
+def _conjugating_elements(G: PermGroup, A: PermGroup, targets, caps: Caps = DEFAULT_CAPS):
+    """For each subgroup B of ``targets`` (all of A's order), some g in G with
+    A^g = B, or None if there is none.
+
+    One breadth-first walk over the G-orbit of A's element set under
+    conjugation by G's generators, tracking witnesses, that stops once every
+    target is reached. A target's witness is the product along the path that
+    first reached it, so it does not depend on the other targets.
+    """
     caps.check("order_enum", A.order)
     start = A.element_set()
-    target = B.element_set()
-    if start == target:
-        return G.identity()
-    node_cap = max(1, caps.order_enum // max(1, A.order))
+    sets = [B.element_set() for B in targets]
     witnesses = {start: G.identity()}
+    missing = set(sets) - {start}
+    node_cap = max(1, caps.order_enum // max(1, A.order))
+    gens = [(g, g.images, g.inv().images) for g in G.generators]
     frontier = [start]
-    while frontier:
+    while frontier and missing:
         nxt = []
         for node in frontier:
             w = witnesses[node]
-            for g in G.generators:
-                g_inv = g.inv().images
-                image = frozenset(_conj(x, g.images, g_inv) for x in node)
-                if image not in witnesses:
-                    witnesses[image] = w * g
-                    if image == target:
-                        return witnesses[image]
-                    if len(witnesses) > node_cap:
-                        from .caps import CapExceeded
-
-                        raise CapExceeded("order_enum", caps.order_enum, len(witnesses) * A.order)
-                    nxt.append(image)
+            for g, g_img, g_inv in gens:
+                image = frozenset(_conj(x, g_img, g_inv) for x in node)
+                if image in witnesses:
+                    continue
+                witnesses[image] = w * g
+                missing.discard(image)
+                if not missing:
+                    return [witnesses.get(s) for s in sets]
+                if len(witnesses) > node_cap:
+                    raise CapExceeded("order_enum", caps.order_enum, len(witnesses) * A.order)
+                nxt.append(image)
         frontier = nxt
-    return None
+    return [witnesses.get(s) for s in sets]
 
 
 # ---------------------------------------------------------------------------

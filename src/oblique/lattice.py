@@ -125,9 +125,9 @@ def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
         caps.check("lattice", G.order)
         reps, seeds = _class_seeds(G, caps=caps)
         # top is a copy of G: a cycle G -> G._lattice -> G would outlive G until a full gc
-        top = PermGroup(G.degree, G.generators)
+        top = PermGroup(G.degree, G.generators, caps=caps)
         top._chain, top._seeds = G.chain, G._seeds
-        members = {1: PermGroup.trivial(G.degree), (1 << len(reps)) - 1: top}
+        members = {1: PermGroup.trivial(G.degree, caps=caps), (1 << len(reps)) - 1: top}
         for s in seeds:
             members.setdefault(_class_mask(s, reps), s)
         # close under joins; a join depends only on the union of the two
@@ -239,9 +239,9 @@ def _components(H: PermGroup, memo, caps: Caps):
 
 def fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """F(G): join of the p-cores over primes dividing |G|."""
-    out = PermGroup.trivial(G.degree)
+    out = PermGroup.trivial(G.degree, caps=caps)
     for p in prime_factors(G.order):
-        out = PermGroup(G.degree, out.generators + pi_core(G, {p}, caps=caps).generators)
+        out = PermGroup(G.degree, out.generators + pi_core(G, {p}, caps=caps).generators, caps=caps)
     return out
 
 
@@ -250,13 +250,13 @@ def layer(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     gens = []
     for Q in components(G, caps=caps):
         gens.extend(Q.generators)
-    return PermGroup(G.degree, gens)
+    return PermGroup(G.degree, gens, caps=caps)
 
 
 def generalized_fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """F*(G) = F(G) E(G)."""
     return PermGroup(
-        G.degree, fitting(G, caps=caps).generators + layer(G, caps=caps).generators
+        G.degree, fitting(G, caps=caps).generators + layer(G, caps=caps).generators, caps=caps
     )
 
 
@@ -276,7 +276,7 @@ def frattini_pgroup(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     if len(primes) > 1:
         raise ValueError("frattini_pgroup requires a p-group")
     if not primes:
-        return PermGroup.trivial(S.degree)
+        return PermGroup.trivial(S.degree, caps=caps)
     p = primes[0]
     gens = [a.commutator(b) for i, a in enumerate(S.generators) for b in S.generators[i + 1 :]]
     gens += [g**p for g in S.generators]
@@ -327,25 +327,30 @@ def oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
 
 
 def all_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS, cap_name: str = "ob_star"):
-    """Every subgroup of G, by closing under one-generator extensions."""
+    """Every subgroup of G, by closing under one-generator extensions.
+
+    The list is computed once and cached on G; the cap is checked on every call.
+    """
     caps.check(cap_name, G.order)
-    elems = G.element_tuples()
-    trivial = PermGroup.trivial(G.degree)
-    found = {trivial.element_set(): trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for e in elems:
-                if H.chain.contains(e):
-                    continue
-                K = PermGroup(G.degree, H.generators + (Permutation(e),))
-                key = K.element_set()
-                if key not in found:
-                    found[key] = K
-                    nxt.append(K)
-        frontier = nxt
-    return list(found.values())
+    if G._subgroups is None:
+        elems = G.element_tuples()
+        trivial = PermGroup.trivial(G.degree, caps=caps)
+        found = {trivial.element_set(): trivial}
+        frontier = [trivial]
+        while frontier:
+            nxt = []
+            for H in frontier:
+                for e in elems:
+                    if H.chain.contains(e):
+                        continue
+                    K = PermGroup(G.degree, H.generators + (Permutation(e),), caps=caps)
+                    key = K.element_set()
+                    if key not in found:
+                        found[key] = K
+                        nxt.append(K)
+            frontier = nxt
+        G._subgroups = list(found.values())
+    return G._subgroups
 
 
 def strong_oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -429,8 +434,8 @@ def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
     dG, dK = derived_subgroup(G, caps=caps), derived_subgroup(K, caps=caps)
     opG, opK = _p_residual_direct(G, p, caps=caps), _p_residual_direct(K, p, caps=caps)
     agG, agK = _derived_agemo(G, p, caps=caps), _derived_agemo(K, p, caps=caps)
-    mixG = PermGroup(G.degree, dG.generators + opG.generators)
-    mixK = PermGroup(K.degree, dK.generators + opK.generators)
+    mixG = PermGroup(G.degree, dG.generators + opG.generators, caps=caps)
+    mixK = PermGroup(K.degree, dK.generators + opK.generators, caps=caps)
     return TateCheck(
         derived=inter_s(dG) == inter_s(dK),
         frattini_quotient=inter_s(agG) == inter_s(agK),
@@ -469,8 +474,8 @@ class AutGroup:
         return len(self.maps)
 
 
-def _reduced_generators(G: PermGroup):
-    return list(_generated(G.degree, [], sorted(G.generators, key=lambda x: x.images)).generators)
+def _reduced_generators(G: PermGroup, caps: Caps = DEFAULT_CAPS):
+    return list(_generated(G.degree, [], sorted(G.generators, key=lambda x: x.images), caps).generators)
 
 
 def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
@@ -479,9 +484,9 @@ def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
     elems = sorted(G.element_tuples())
     n = len(elems)
     index = {t: i for i, t in enumerate(elems)}
-    gens = _reduced_generators(G)
+    gens = _reduced_generators(G, caps)
     if not gens:
-        action = PermGroup.trivial(1)
+        action = PermGroup.trivial(1, caps=caps)
         return AutGroup(G, [Permutation(t) for t in elems], [(0,) * 1 if n == 1 else tuple(range(n))], action)
     gen_tuples = [g.images for g in gens]
     # BFS word tree over the reduced generators
@@ -526,7 +531,7 @@ def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
         if ok:
             maps.append(tuple(index[t] for t in phi))
     # as a permutation group on the nontrivial elements
-    action = _generated(max(n - 1, 1), [], (Permutation(tuple(v - 1 for v in m[1:])) for m in maps))
+    action = _generated(max(n - 1, 1), [], (Permutation(tuple(v - 1 for v in m[1:])) for m in maps), caps)
     if action.order != len(maps):
         raise AssertionError("automorphism action order mismatch")
     return AutGroup(G, [Permutation(t) for t in elems], maps, action)

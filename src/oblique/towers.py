@@ -59,7 +59,7 @@ def cyclic_tower(p: int, depth: int, caps: Caps = DEFAULT_CAPS) -> Tower:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     caps.check("degree", p**depth)
-    levels = [PermGroup.cyclic(p**i) for i in range(1, depth + 1)]
+    levels = [PermGroup.cyclic(p**i, caps=caps) for i in range(1, depth + 1)]
     maps = []
     for i in range(depth - 1):
         gen_image = levels[i].generators[0]
@@ -78,11 +78,11 @@ def wreath_tower(p: int, depth: int, caps: Caps = DEFAULT_CAPS) -> Tower:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     caps.check("degree", p**depth)
-    levels = [PermGroup.cyclic(p)]
+    levels = [PermGroup.cyclic(p, caps=caps)]
     maps = []
     for k in range(2, depth + 1):
         prev = levels[-1]
-        W = wreath_imprimitive(PermGroup.cyclic(p), prev.degree, prev, caps=caps)
+        W = wreath_imprimitive(PermGroup.cyclic(p, caps=caps), prev.degree, prev, caps=caps)
         images = []
         for g in W.generators:
             block_images = tuple(g(b * p) // p for b in range(prev.degree))
@@ -119,7 +119,7 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
     for a, b in zip(primes, primes[1:]):
         if a == b:
             raise ValueError("consecutive primes must be distinct (the action must be coprime-free)")
-    levels = [PermGroup.cyclic(primes[0])]
+    levels = [PermGroup.cyclic(primes[0], caps=caps)]
     maps = []
     for i in range(1, depth):
         prev = levels[-1]

@@ -383,6 +383,25 @@ def test_ob_quotient_monotonicity(corpus):
                 assert hom.image_of_group(oi_g).is_subgroup_of(oi_q), name
 
 
+def test_all_subgroups_is_cached_and_still_checks_caps():
+    G = PermGroup.symmetric(4)
+    first = all_subgroups(G)
+    assert len(first) == 30 and all_subgroups(G) is first
+    with pytest.raises(CapExceeded, match="ob_star"):
+        ob_star_function(G, 2, caps=Caps(ob_star=10))
+    with pytest.raises(CapExceeded, match="aut"):
+        all_subgroups(G, caps=Caps(aut=10), cap_name="aut")
+    assert all_subgroups(G, caps=Caps(aut=24), cap_name="aut") is first
+
+
+def test_cached_subgroups_leave_no_reference_cycle():
+    G = PermGroup.symmetric(4)
+    assert len(all_subgroups(G)) == 30
+    ref = weakref.ref(G)
+    del G
+    assert ref() is None
+
+
 def test_ob_star_cap_error_names_the_cap():
     G = PermGroup.symmetric(4)
     with pytest.raises(CapExceeded) as err:
@@ -466,6 +485,21 @@ def test_c_invariant_values():
         assert c_invariant(direct_product(C(p * p), C(p))) == 1
         assert c_invariant(C(p**3)) == 1
     assert c_invariant(PermGroup.dihedral(4)) == 1
+
+
+def test_c_invariant_checks_only_the_given_caps(monkeypatch):
+    # aut_group_small and the Frattini quotient build groups of their own
+    D8, caps = PermGroup.dihedral(4), Caps(degree=4000)
+    seen = []
+    check = Caps.check
+
+    def recording(self, cap_name, needed):
+        seen.append((self, cap_name))
+        return check(self, cap_name, needed)
+
+    monkeypatch.setattr(Caps, "check", recording)
+    assert c_invariant(D8, caps=caps) == 1
+    assert seen and [name for c, name in seen if c is not caps] == []
 
 
 def test_c_invariant_requires_p_group():

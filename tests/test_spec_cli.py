@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oblique import PermGroup, SpecError, build_group, parse_spec
+from oblique.caps import DEFAULT_CAPS, Caps
 from oblique.cli import main
 
 
@@ -254,6 +255,33 @@ def test_exit_code_1_on_cap_below_one():
         assert json.loads(err) == {"error": "input", "message": f"{flag} must be at least 1, got {value}"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "direct(alt(5),sym(3))"),
+        ("ob-table", "sym(4)", "--max-n", "2", "--star"),
+        ("tate", "sym(4)", "--p", "2"),
+        ("fusion", "sym(4)", "--p", "2", "--alperin"),
+        ("tower", "--family", "fitting", "--params", "2,3", "--max-n", "2", "--star"),
+        ("tower", "--family", "cyclic", "--params", "2,3"),
+        ("tower", "--family", "wreath", "--params", "2,2"),
+    ],
+)
+def test_every_cap_check_uses_the_command_line_caps(monkeypatch, argv):
+    seen = []
+    check = Caps.check
+
+    def recording(self, cap_name, needed):
+        seen.append((self, cap_name))
+        return check(self, cap_name, needed)
+
+    monkeypatch.setattr(Caps, "check", recording)
+    code, _, err = run_cli(*argv, "--cap-degree", "4000")
+    assert code == 0, err
+    expected = DEFAULT_CAPS.with_overrides(degree=4000)
+    assert seen and [name for caps, name in seen if caps != expected] == []
+
+
 def test_global_flags_after_subcommand():
     code, out, _ = run_cli("invariants", "sym(3)", "--seed", "7")
     assert code == 0
@@ -272,6 +300,9 @@ GOLDEN = Path(__file__).parent / "data"
         ("ob_table_s4xs4.json", ("ob-table", "direct(sym(4),sym(4))", "--max-n", "12")),
         ("tower_fitting_2_11.json", ("tower", "--family", "fitting", "--params", "2,11", "--max-n", "2")),
         ("invariants_a5xs4.json", ("invariants", "direct(alt(5),sym(4))")),
+        ("fusion_s6_p2_alperin.json", ("fusion", "sym(6)", "--p", "2", "--alperin")),
+        ("fusion_a7_p3_alperin.json", ("fusion", "alt(7)", "--p", "3", "--alperin")),
+        ("ob_table_s4_star.json", ("ob-table", "sym(4)", "--max-n", "4", "--star")),
     ],
 )
 def test_report_bytes_match_golden(name, argv):
