@@ -17,7 +17,7 @@ re-indexed.
 
 from __future__ import annotations
 
-import numpy as np
+from operator import itemgetter
 
 from .arith import is_prime, p_part, p_valuation
 from .caps import DEFAULT_CAPS, CapExceeded, Caps
@@ -202,6 +202,7 @@ class PermGroup:
         self._elements = None
         self._sympy = None
         self._lattice = None
+        self._seeds = None
         self._subgroups = None
 
     # -- constructions -----------------------------------------------------
@@ -340,36 +341,61 @@ def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     Enumeration-based; representatives are the lexicographically least image
     tuples of their class, and classes are sorted by (size, representative).
     """
+    return [(Permutation(rep), len(keys)) for rep, keys in _class_table(G, caps)[0]]
+
+
+def _base_images(points):
+    """A function giving the images of ``points`` under an image tuple, as a tuple."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    return lambda x: tuple(x[p] for p in points)
+
+
+def _class_table(G: PermGroup, caps: Caps = DEFAULT_CAPS):
+    """The conjugacy classes of G, found on base images.
+
+    An element is fixed by its images of the chain's base (Seress, *Permutation
+    Group Algorithms*, 2003, ch. 4), so each element is keyed by that tuple, and
+    a conjugate y = g^-1 x g is computed only at the base points b:
+    y[b] = g[x[g^-1[b]]]. The classes are the orbits of G's generators.
+
+    Returns (classes, class_of): ``classes`` lists (representative, member
+    keys) sorted by (size, representative), where the representative is the
+    least image tuple of the class, so the identity class comes first;
+    ``class_of`` maps each element's key to its index in ``classes``.
+    """
     caps.check("order_enum", G.order)
     elems = G.element_tuples()
-    deg = G.degree
-    arr = np.array(elems, dtype=np.int32).reshape(len(elems), deg)
-    index = {row.tobytes(): i for i, row in enumerate(arr)}
-    gen_arrs = [(np.array(g.images, dtype=np.int32), np.array(g.inv().images, dtype=np.int32)) for g in G.generators]
-    seen = np.zeros(len(elems), dtype=bool)
-    classes = []
+    base = G.chain.base
+    key = _base_images(base)
+    keys = [key(x) for x in elems]
+    index = {k: i for i, k in enumerate(keys)}  # to element indices now, to class indices at the end
+    movers = []
+    for g in G.generators:
+        g_inv = _inverse(g.images)
+        movers.append((_base_images([g_inv[b] for b in base]), g.images))
+    seen = bytearray(len(elems))
+    found = []
     for start in range(len(elems)):
         if seen[start]:
             continue
+        seen[start] = 1
         members = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                x = arr[i]
-                for g, g_inv in gen_arrs:
-                    y = g[x[g_inv]]
-                    j = index[y.tobytes()]
-                    if not seen[j]:
-                        seen[j] = True
-                        members.append(j)
-                        nxt.append(j)
-            frontier = nxt
-        rep = min(tuple(arr[i]) for i in members)
-        classes.append((Permutation(tuple(int(v) for v in rep)), len(members)))
-    classes.sort(key=lambda rs: (rs[1], rs[0].images))
-    return classes
+        for i in members:  # grows while it is read: a breadth-first orbit walk
+            x = elems[i]
+            for at, g in movers:
+                j = index[_compose(at(x), g)]
+                if not seen[j]:
+                    seen[j] = 1
+                    members.append(j)
+        found.append((min(elems[i] for i in members), members))
+    found.sort(key=lambda c: (len(c[1]), c[0]))
+    classes = []
+    for c, (rep, members) in enumerate(found):
+        classes.append((rep, [keys[i] for i in members]))
+        for i in members:
+            index[keys[i]] = c
+    return classes, index
 
 
 def normal_closure(G: PermGroup, xs, caps: Caps = DEFAULT_CAPS) -> PermGroup:

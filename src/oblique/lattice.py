@@ -16,9 +16,9 @@ from .caps import DEFAULT_CAPS, Caps
 from .group import (
     NotASubgroup,
     PermGroup,
+    _class_table,
     _generated,
     center,
-    conjugacy_classes,
     derived_series,
     derived_subgroup,
     intersection,
@@ -101,23 +101,68 @@ def _class_mask(H: PermGroup, reps) -> int:
 
 def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     """Class representatives (image tuples, identity first) and the distinct
-    normal closures of the others (cached).
+    normal closures of the classes as {class mask: closure}, in the order of
+    their first class (cached).
 
     Every normal subgroup is a join of these closures, so they seed the
-    lattice; the pi-cores are joins of subfamilies.
+    lattice; the pi-cores are joins of subfamilies. The masks come from
+    :func:`_closure_masks`; a chain is built only for the first class of each
+    distinct mask. Callers that need the lattice cap check it first.
     """
-    if getattr(G, "_seeds", None) is None:
-        caps.check("lattice", G.order)
-        reps, seeds = [], []
-        for rep, _size in conjugacy_classes(G, caps=caps):
-            reps.append(rep.images)
-            if rep.is_identity():
+    if G._seeds is None:
+        classes, class_of = _class_table(G, caps)
+        seeds = {}
+        for c, mask in enumerate(_closure_masks(classes, class_of)):
+            if c == 0 or mask in seeds:
                 continue
-            s = normal_closure(G, [rep], caps=caps)
-            if not any(t.order == s.order and t.same_group(s) for t in seeds):
-                seeds.append(s)
-        G._seeds = (reps, seeds)
+            s = normal_closure(G, [Permutation(classes[c][0])], caps=caps)
+            size = sum(len(keys) for i, (_, keys) in enumerate(classes) if mask >> i & 1)
+            if s.order != size:
+                raise AssertionError(f"normal closure has order {s.order}, its class mask {size}")
+            seeds[mask] = s
+        G._seeds = ([rep for rep, _ in classes], seeds)
     return G._seeds
+
+
+def _closure_masks(classes, class_of):
+    """The normal closure <c^G> of each class c as a class mask.
+
+    The mask of c is the closure of {1, c} under a -> the classes of
+    K_a rep_c, and a product k rep_c needs only k's base images, which are
+    its key: (k rep_c)[b] = rep_c[k[b]]. The union N of the classes found is
+    closed under conjugation and under right multiplication by rep_c, so
+    also by every conjugate of rep_c, and N = <c^G> (normal subgroups at
+    class level: Hulpke, "Computing normal subgroups", ISSAC 1998).
+    Two shortcuts: a union of classes larger than |G|/q, for q the least
+    prime dividing |G|, closes to G; and if an earlier class a is found
+    whose closure holds c, then <c^G> = <a^G>.
+    """
+    sizes = [len(keys) for _, keys in classes]
+    order = sum(sizes)
+    full = (1 << len(classes)) - 1
+    limit = order // min(prime_factors(order)) if order > 1 else 0
+    masks = [1]
+
+    def closure(c):
+        r = classes[c][0]
+        mask, size, todo = 1 | 1 << c, 1 + sizes[c], [c]
+        while todo:
+            for k in classes[todo.pop()][1]:
+                a = class_of[_compose(k, r)]
+                if mask >> a & 1:
+                    continue
+                if a < c and masks[a] >> c & 1:
+                    return masks[a]
+                mask |= 1 << a
+                size += sizes[a]
+                if size > limit:
+                    return full
+                todo.append(a)
+        return mask
+
+    for c in range(1, len(classes)):
+        masks.append(closure(c))
+    return masks
 
 
 def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
@@ -128,8 +173,8 @@ def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
         top = PermGroup(G.degree, G.generators, caps=caps)
         top._chain, top._seeds = G.chain, G._seeds
         members = {1: PermGroup.trivial(G.degree, caps=caps), (1 << len(reps)) - 1: top}
-        for s in seeds:
-            members.setdefault(_class_mask(s, reps), s)
+        for mask, s in seeds.items():
+            members.setdefault(mask, s)
         # close under joins; a join depends only on the union of the two
         # masks, and is the member with that mask if there is one
         known = set(members)  # unions whose join has been found
@@ -161,9 +206,10 @@ def pi_core(G: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     An element lies in O_pi exactly when its normal closure is a pi-group,
     so O_pi is the join of the pi-group class seeds.
     """
+    caps.check("lattice", G.order)
     pi = set(pi)
     gens = []
-    for s in _class_seeds(G, caps=caps)[1]:
+    for s in _class_seeds(G, caps=caps)[1].values():
         if set(prime_factors(s.order)) <= pi:
             gens.extend(s.generators)
     return PermGroup(G.degree, gens, caps=caps)
@@ -182,14 +228,10 @@ def is_soluble(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 def is_simple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
+    """A nontrivial G is simple when every class seed is G."""
     if G.order == 1:
         return False
-    for rep, _ in conjugacy_classes(G, caps=caps):
-        if rep.is_identity():
-            continue
-        if normal_closure(G, [rep], caps=caps).order < G.order:
-            return False
-    return True
+    return all(s.order == G.order for s in _class_seeds(G, caps=caps)[1].values())
 
 
 def is_quasisimple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:

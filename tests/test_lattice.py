@@ -37,9 +37,11 @@ from oblique import (
     wreath_imprimitive,
 )
 from oblique.arith import digit_sum
-from oblique.lattice import all_subgroups, phi_lhd_height, pgroup_rank
+from oblique.group import _class_table
+from oblique.lattice import _class_seeds, _closure_masks, all_subgroups, phi_lhd_height, pgroup_rank
+from oblique.towers import fitting_degenerate_tower
 
-from conftest import brute_all_subgroups, brute_closure, brute_normal_subgroups
+from conftest import brute_all_subgroups, brute_closure, brute_conjugacy_classes, brute_normal_subgroups
 
 
 def _tuple_inverse(g):
@@ -132,6 +134,43 @@ def test_lattice_matches_brute_force_small(corpus):
     assert checked >= 20
 
 
+def _brute_generated(degree, elements):
+    """brute_closure of ``elements``, taking as generators only those not
+    already generated by the earlier ones."""
+    gens, closure = [], {tuple(range(degree))}
+    for x in sorted(elements):
+        if x not in closure:
+            gens.append(x)
+            closure = brute_closure(degree, gens)
+    return closure
+
+
+def test_class_table_and_closure_masks_match_brute_oracles(corpus):
+    groups = {name: G for name, G in corpus.items() if G.order <= 720}
+    for params in ((3, 5), (7, 2), (2, 11)):
+        # base much shorter than the degree: classes and closures are found
+        # from two of each element's 121-128 images
+        top = fitting_degenerate_tower(params, 2).levels[-1]
+        assert len(top.chain.base) == 2 and top.degree >= 121
+        groups[f"fitting{params}"] = top
+    for name, G in groups.items():
+        elements = brute_closure(G.degree, [g.images for g in G.generators])
+        brute = {min(c): c for c in brute_conjugacy_classes(elements)}
+        got = [(size, rep.images) for rep, size in conjugacy_classes(G)]
+        assert got == sorted((len(c), rep) for rep, c in brute.items()), name
+        reps = [rep for _, rep in got]
+        masks = _closure_masks(*_class_table(G))
+        for rep, mask in zip(reps, masks):
+            closure = _brute_generated(G.degree, brute[rep])
+            assert mask == sum(1 << i for i, r in enumerate(reps) if r in closure), name
+        assert list(_class_seeds(G)[1]) == list(dict.fromkeys(masks[1:])), name
+
+
+def test_cyclic_lattice_orders_are_the_divisors():
+    n = 120
+    assert sorted(normal_lattice(PermGroup.cyclic(n)).orders()) == [d for d in range(1, n + 1) if n % d == 0]
+
+
 # ---------------------------------------------------------------------------
 # cores and residuals
 
@@ -204,6 +243,15 @@ def test_simplicity_and_quasisimplicity():
     assert not is_quasisimple(PermGroup.symmetric(5))
     assert is_soluble(PermGroup.symmetric(4))
     assert not is_soluble(PermGroup.alternating(5))
+
+
+def test_is_simple_matches_the_lattice(corpus):
+    for name, G in corpus.items():
+        assert is_simple(G) == (len(normal_lattice(G)) == 2), name
+
+
+def test_is_simple_does_not_check_the_lattice_cap():
+    assert is_simple(PermGroup.alternating(5), caps=Caps(lattice=10))
 
 
 def test_fstar_criterion_when_g_equals_fstar(corpus):
