@@ -34,11 +34,7 @@ def prime_factors(n: int):
 
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
+    return p ** p_valuation(n, p)
 
 
 def p_prime_part(n: int, p: int) -> int:
@@ -46,6 +42,8 @@ def p_prime_part(n: int, p: int) -> int:
 
 
 def p_valuation(n: int, p: int) -> int:
+    if p < 2 or n < 1:
+        raise ValueError(f"p-parts need n >= 1 and p >= 2, got n={n}, p={p}")
     v = 0
     while n % p == 0:
         v += 1

@@ -262,6 +262,8 @@ def _build_tower(args, caps) -> Tower:
 
 
 def _cmd_tower(args, caps):
+    if args.max_n is not None and args.max_n < 1:
+        raise _InputError("--max-n must be at least 1")
     tower = _build_tower(args, caps)
     descriptor = {
         "family": tower.family,

@@ -54,13 +54,12 @@ class StabilizerChain:
     Group Algorithms*, 2003, sec. 4.2). Construction is :meth:`extend` applied
     to each generator in turn.
 
-    New base points are the first point the residue moves, except that
-    ``base_hint`` ranks points: earlier hinted points are used first.
-    ``forced_prefix`` fixes the first base points outright. This is how
-    homomorphism kernels are extracted (fix all codomain points first).
+    New base points are the first point the residue moves. ``forced_prefix``
+    fixes the first base points outright. This is how homomorphism kernels
+    are extracted (fix all codomain points first).
     """
 
-    def __init__(self, degree, gen_tuples, base_hint=None, forced_prefix=None):
+    def __init__(self, degree, gen_tuples, forced_prefix=None):
         self.degree = degree
         self.base = []
         self.transversals = []  # per level: {point p: coset rep u with base^u == p}
@@ -69,8 +68,6 @@ class StabilizerChain:
         self._orbits = []       # per level: orbit points in the order they joined
         self._paired = []       # per level and orbit point: how many of _gens[i] it was paired with
         self._ident = tuple(range(degree))
-        hint = list(base_hint) if base_hint is not None else []
-        self._hint_rank = {p: r for r, p in enumerate(hint)}
         for p in forced_prefix or ():
             self._add_level(p)
         for g in gen_tuples:
@@ -99,9 +96,7 @@ class StabilizerChain:
     def _add_strong(self, h, lev):
         """Add h, which fixes base[:lev] and moves base[lev] (if it exists)."""
         if lev == len(self.base):
-            moved = [i for i in range(self.degree) if h[i] != i]
-            rank = self._hint_rank
-            self._add_level(min(moved, key=lambda p: (rank.get(p, len(rank)), p)))
+            self._add_level(next(i for i in range(self.degree) if h[i] != i))
         pair = (h, _inverse(h))
         for gens in self._gens[: lev + 1]:
             gens.append(pair)

@@ -41,9 +41,9 @@ class GroupHom:
             for g, y in zip(domain.generators, images)
         ]
         # Certificate: the graph of the map must have order |domain|.
-        self._dom_chain = StabilizerChain(
-            self._pair_degree, self._pairs, base_hint=list(range(domain.degree))
-        )
+        # Base points are first moved points, and every non-identity element of a
+        # graph moves a domain point, so ``apply`` meets domain base points only.
+        self._dom_chain = StabilizerChain(self._pair_degree, self._pairs)
         if self._dom_chain.order != domain.order:
             raise NotAHomomorphism(
                 f"generator images do not define a homomorphism "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arith import p_part, p_prime_part, p_valuation, prime_factors
+from .arith import is_prime, p_part, p_prime_part, p_valuation, prime_factors
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
     NotASubgroup,
@@ -46,8 +46,8 @@ class NormalLattice:
         self._by_mask = members
         self._masks = {m: mask for mask, m in members.items()}
         self._index = {self._masks[m]: i for i, m in enumerate(self.members)}
-        self._reps = _class_seeds(ambient)[0]
-        self._full = (1 << len(self._reps)) - 1
+        self._classes = _class_seeds(ambient)[0]
+        self._full = (1 << len(self._classes)) - 1
 
     def __len__(self):
         return len(self.members)
@@ -56,7 +56,7 @@ class NormalLattice:
         return [m.order for m in self.members]
 
     def index_of(self, H: PermGroup):
-        i = self._index.get(_class_mask(H, self._reps)) if H.degree == self.ambient.degree else None
+        i = self._index.get(_class_mask(H, self._classes)) if H.degree == self.ambient.degree else None
         if i is None or not self.members[i].same_group(H):
             raise NotASubgroup("subgroup is not a member of the normal lattice")
         return i
@@ -95,103 +95,104 @@ class NormalLattice:
         return [self._by_mask[a] for a in nontrivial if not any(a != b and b & ~a == 0 for b in nontrivial)]
 
 
-def _class_mask(H: PermGroup, reps) -> int:
-    return sum(1 << i for i, rep in enumerate(reps) if H.chain.contains(rep))
+def _class_mask(H: PermGroup, classes) -> int:
+    return sum(1 << i for i, (rep, _) in enumerate(classes) if H.chain.contains(rep))
 
 
 def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """Class representatives (image tuples, identity first) and the distinct
-    normal closures of the classes as {class mask: closure}, in the order of
-    their first class (cached).
-
-    Every normal subgroup is a join of these closures, so they seed the
-    lattice; the pi-cores are joins of subfamilies. The masks come from
-    :func:`_closure_masks`; a chain is built only for the first class of each
-    distinct mask. Callers that need the lattice cap check it first.
+    """(classes, seeds, class_of, masks), cached: :func:`_class_table`'s
+    classes and class_of, each class's normal closure <c^G> as a class mask
+    (:func:`_close`), and the distinct closures (the seeds) by mask, in the
+    order of their first class. Every normal subgroup is a join of seeds, a
+    pi-core of some. A chain is built only per seed. Callers that need the
+    lattice cap check it first.
     """
     if G._seeds is None:
         classes, class_of = _class_table(G, caps)
-        seeds = {}
-        for c, mask in enumerate(_closure_masks(classes, class_of)):
-            if c == 0 or mask in seeds:
-                continue
-            s = normal_closure(G, [Permutation(classes[c][0])], caps=caps)
-            size = sum(len(keys) for i, (_, keys) in enumerate(classes) if mask >> i & 1)
-            if s.order != size:
-                raise AssertionError(f"normal closure has order {s.order}, its class mask {size}")
-            seeds[mask] = s
-        G._seeds = ([rep for rep, _ in classes], seeds)
+        masks, seeds = [1], {}
+        for c in range(1, len(classes)):
+            mask = _close(classes, class_of, 1 | 1 << c, classes[c][0], masks)
+            masks.append(mask)
+            if mask not in seeds:
+                seeds[mask] = _checked(normal_closure(G, [Permutation(classes[c][0])], caps=caps), classes, mask)
+        G._seeds = (classes, seeds, class_of, masks)
     return G._seeds
 
 
-def _closure_masks(classes, class_of):
-    """The normal closure <c^G> of each class c as a class mask.
+def _checked(N: PermGroup, classes, mask) -> PermGroup:
+    """N, once its order is checked to be the summed size of the classes in ``mask``."""
+    size = sum(len(classes[i][1]) for i in _bits(mask))
+    if N.order != size:
+        raise AssertionError(f"normal subgroup has order {N.order}, its class mask {size}")
+    return N
 
-    The mask of c is the closure of {1, c} under a -> the classes of
-    K_a rep_c, and a product k rep_c needs only k's base images, which are
-    its key: (k rep_c)[b] = rep_c[k[b]]. The union N of the classes found is
-    closed under conjugation and under right multiplication by rep_c, so
-    also by every conjugate of rep_c, and N = <c^G> (normal subgroups at
-    class level: Hulpke, "Computing normal subgroups", ISSAC 1998).
-    Two shortcuts: a union of classes larger than |G|/q, for q the least
-    prime dividing |G|, closes to G; and if an earlier class a is found
-    whose closure holds c, then <c^G> = <a^G>.
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close(classes, class_of, mask, r, known):
+    """The smallest normal subgroup holding the classes in ``mask`` and r, as a
+    class mask. ``mask`` holds the identity class and r's class, and lies in
+    M<r^G> for a normal subgroup M whose classes it holds (M = 1 for a seed).
+
+    The union N of the classes reached from ``mask`` by a -> the classes of
+    K_a r is closed under conjugation and right multiplication by r, so by
+    every conjugate of r, and N = M<r^G> (Hulpke, "Computing normal subgroups",
+    ISSAC 1998). k r needs only k's base images, its key: (k r)[b] = r[k[b]].
+    Shortcuts: a union larger than |G|/q, for q the least prime dividing |G|,
+    closes to G; and if a class a is found whose known closure ``known[a]`` =
+    <a^G> holds ``mask``, then N = <a^G>.
     """
-    sizes = [len(keys) for _, keys in classes]
-    order = sum(sizes)
-    full = (1 << len(classes)) - 1
-    limit = order // min(prime_factors(order)) if order > 1 else 0
-    masks = [1]
-
-    def closure(c):
-        r = classes[c][0]
-        mask, size, todo = 1 | 1 << c, 1 + sizes[c], [c]
-        while todo:
-            for k in classes[todo.pop()][1]:
-                a = class_of[_compose(k, r)]
-                if mask >> a & 1:
-                    continue
-                if a < c and masks[a] >> c & 1:
-                    return masks[a]
-                mask |= 1 << a
-                size += sizes[a]
-                if size > limit:
-                    return full
-                todo.append(a)
-        return mask
-
-    for c in range(1, len(classes)):
-        masks.append(closure(c))
-    return masks
+    limit = len(class_of) // min(prime_factors(len(class_of)))
+    start, todo = mask, list(_bits(mask))
+    size = sum(len(classes[a][1]) for a in todo)
+    while todo:
+        for k in classes[todo.pop()][1]:
+            a = class_of[_compose(k, r)]
+            if mask >> a & 1:
+                continue
+            if a < len(known) and start & ~known[a] == 0:
+                return known[a]
+            mask |= 1 << a
+            size += len(classes[a][1])
+            if size > limit:
+                return (1 << len(classes)) - 1
+            todo.append(a)
+    return mask
 
 
 def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     if G._lattice is None:
         caps.check("lattice", G.order)
-        reps, seeds = _class_seeds(G, caps=caps)
+        classes, seeds, class_of, masks = _class_seeds(G, caps=caps)
         # top is a copy of G: a cycle G -> G._lattice -> G would outlive G until a full gc
         top = PermGroup(G.degree, G.generators, caps=caps)
         top._chain, top._seeds = G.chain, G._seeds
-        members = {1: PermGroup.trivial(G.degree, caps=caps), (1 << len(reps)) - 1: top}
+        members = {1: PermGroup.trivial(G.degree, caps=caps), (1 << len(classes)) - 1: top}
         for mask, s in seeds.items():
             members.setdefault(mask, s)
-        # close under joins; a join depends only on the union of the two
-        # masks, and is the member with that mask if there is one
+        # every member is a join of seeds, so join each member with each seed; a join
+        # depends only on the masks' union, and gets a group only if it is new
+        reps = {s: classes[masks.index(s)][0] for s in seeds}  # seed s = <r^G>
         known = set(members)  # unions whose join has been found
         frontier = list(members)
         while frontier:
-            new = {}
+            new = []
             for a in frontier:
-                for b in members:
-                    if a | b in known:
+                for s, r in reps.items():
+                    if a | s in known:
                         continue
-                    j = PermGroup(G.degree, members[a].generators + members[b].generators, caps=caps)
-                    mask = _class_mask(j, reps)
-                    known.update((a | b, mask))
+                    mask = _close(classes, class_of, a | s, r, masks)
+                    known.update((a | s, mask))
                     if mask not in members:
-                        new.setdefault(mask, j)
-            members.update(new)
-            frontier = list(new)
+                        j = PermGroup(G.degree, members[a].generators + seeds[s].generators, caps=caps)
+                        members[mask] = _checked(j, classes, mask)
+                        new.append(mask)
+            frontier = new
         G._lattice = NormalLattice(top, members)
     return G._lattice
 
@@ -281,10 +282,8 @@ def _components(H: PermGroup, memo, caps: Caps):
 
 def fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """F(G): join of the p-cores over primes dividing |G|."""
-    out = PermGroup.trivial(G.degree, caps=caps)
-    for p in prime_factors(G.order):
-        out = PermGroup(G.degree, out.generators + pi_core(G, {p}, caps=caps).generators, caps=caps)
-    return out
+    gens = [g for p in prime_factors(G.order) for g in pi_core(G, {p}, caps=caps).generators]
+    return PermGroup(G.degree, gens, caps=caps)
 
 
 def layer(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -463,6 +462,8 @@ def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
 
     S is a Sylow p-subgroup of K, which must also be one of G.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if not K.is_subgroup_of(G):
         raise NotASubgroup("tate_check requires K <= G")
     if p_part(K.order, p) != p_part(G.order, p):
@@ -619,8 +620,8 @@ def _composition_dims(mats, d, p):
         return []
     best = None
     for coords in itertools.product(range(p), repeat=d):
-        if not any(coords):
-            continue
+        if next((x for x in coords if x), 0) != 1:
+            continue  # one vector per 1-dim subspace: its first multiple here leads with 1
         basis = _spin(list(coords), mats, p)
         if best is None or len(basis) < len(best):
             best = basis

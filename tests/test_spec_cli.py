@@ -230,6 +230,26 @@ def test_exit_code_1_on_wreath_tower_with_non_prime():
     assert json.loads(err) == {"error": "input", "message": "4 is not prime"}
 
 
+def test_exit_code_1_on_tate_with_p_below_two():
+    """p = 1 and p = -1 used to loop forever in p_part, so each case runs in
+    its own process with a timeout: a hang fails the test instead of the run."""
+    for p in ("0", "1", "-1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "oblique.cli", "tate", "sym(4)", "--p", p],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == "", p
+        assert done.stderr.count("\n") == 1, p
+        assert json.loads(done.stderr) == {"error": "input", "message": f"{p} is not prime"}
+
+
+def test_exit_code_1_on_tower_max_n_below_one():
+    for value in ("0", "-2"):
+        code, out, err = run_cli("tower", "--family", "cyclic", "--params", "2,3", "--max-n", value)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "input", "message": "--max-n must be at least 1"}
+
+
 def test_exit_code_1_on_unwritable_report_path(tmp_path):
     commands = (("--json", ("invariants", "sym(4)")), ("--csv", ("ob-table", "sym(3)", "--max-n", "2")))
     for flag, command in commands:
@@ -303,6 +323,9 @@ GOLDEN = Path(__file__).parent / "data"
         ("fusion_s6_p2_alperin.json", ("fusion", "sym(6)", "--p", "2", "--alperin")),
         ("fusion_a7_p3_alperin.json", ("fusion", "alt(7)", "--p", "3", "--alperin")),
         ("ob_table_s4_star.json", ("ob-table", "sym(4)", "--max-n", "4", "--star")),
+        # the only reports that close normal-subgroup joins at degree >= 243
+        ("invariants_c600.json", ("invariants", "cyclic(600)")),
+        ("tower_fitting_2_3_2.json", ("tower", "--family", "fitting", "--params", "2,3,2", "--max-n", "4")),
     ],
 )
 def test_report_bytes_match_golden(name, argv):
