@@ -199,6 +199,17 @@ def test_class_table_and_closure_masks_match_brute_oracles(corpus):
         assert list(_class_seeds(G)[1]) == list(dict.fromkeys(masks[1:])), name
 
 
+def test_lattice_finds_joins_of_three_seeds():
+    """In C2^4 every subgroup is normal and every seed has order 2, so the
+    subgroups of order 8 are joins of three seeds: the join loop must go on
+    joining the members it has just found."""
+    C2 = PermGroup.cyclic(2)
+    G = direct_product(direct_product(C2, C2), direct_product(C2, C2))
+    lat = normal_lattice(G)
+    assert sorted(lat.orders()) == [1] + [2] * 15 + [4] * 35 + [8] * 15 + [16]
+    assert {m.element_set() for m in lat.members} == brute_all_subgroups(G)
+
+
 def test_cyclic_lattice_orders_are_the_divisors():
     n = 120
     assert sorted(normal_lattice(PermGroup.cyclic(n)).orders()) == [d for d in range(1, n + 1) if n % d == 0]
