@@ -15,7 +15,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .group import (
     NotASubgroup,
     PermGroup,
-    _conjugating_elements,
+    _conjugation_walk,
     _generated,
     centralizer,
     normalizer,
@@ -74,9 +74,6 @@ class FusionTable:
     def fused(self, i: int, j: int) -> bool:
         return self.fusion_class_of[i] == self.fusion_class_of[j]
 
-    def witness(self, i: int, j: int):
-        return self.g_fusion.get((min(i, j), max(i, j)))
-
     def fusion_classes(self):
         out = {}
         for cid, fid in enumerate(self.fusion_class_of):
@@ -93,27 +90,14 @@ def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     S = sylow(G, p, caps=caps)
     subgroups = sorted(all_subgroups(S, caps=caps, cap_name="aut"), key=_subgroup_key)
     by_set = {H.element_set(): i for i, H in enumerate(subgroups)}
-    s_gens = [(g, g.images, _inverse(g.images)) for g in S.generators]
     assigned = {}
     s_classes = []
     for i, H in enumerate(subgroups):
         if i in assigned:
             continue
         cid = len(s_classes)
-        witnesses = {i: S.identity()}
-        assigned[i] = cid
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for j in frontier:
-                K = subgroups[j].element_tuples()
-                for g, g_img, g_inv in s_gens:
-                    img = by_set[frozenset(_conj(x, g_img, g_inv) for x in K)]
-                    if img not in assigned:
-                        assigned[img] = cid
-                        witnesses[img] = witnesses[j] * g
-                        nxt.append(img)
-            frontier = nxt
+        witnesses = {by_set[k]: w for k, w in _conjugation_walk(S, H, caps=caps).items()}
+        assigned.update(dict.fromkeys(witnesses, cid))
         s_classes.append(SClass(rep_id=i, member_ids=sorted(witnesses), s_witnesses=witnesses))
     return FusionTable(
         ambient=G,
@@ -163,13 +147,15 @@ def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> Fus
     """Complete a skeleton: fusion witnesses, fully normalized representatives,
     and automizers."""
     reps = [table.subgroups[c.rep_id] for c in table.s_classes]
+    sets = [H.element_set() for H in reps]
     k = len(reps)
     for i in range(k):
         later = [j for j in range(i + 1, k) if reps[j].order == reps[i].order]
         if not later:
             continue
-        found = _conjugating_elements(G, reps[i], [reps[j] for j in later], caps=caps)
-        for j, w in zip(later, found):
+        walked = _conjugation_walk(G, reps[i], [sets[j] for j in later], caps=caps)
+        for j in later:
+            w = walked.get(sets[j])
             if w is not None:
                 if not reps[i].conjugated(w, caps=caps).same_group(reps[j]):
                     raise AssertionError("fusion witness failed verification")
@@ -188,17 +174,14 @@ def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> Fus
     roots = sorted({find(i) for i in range(k)})
     renumber = {r: n for n, r in enumerate(roots)}
     table.fusion_class_of = [renumber[find(i)] for i in range(k)]
-    # fully normalized representative per fusion class: maximal |N_S(P)|
-    table.fully_normalized = [None] * len(roots)
+    # fully normalized representative per fusion class: maximal |N_S(P)|,
+    # which is |S| over the size of P's S-class (orbit-stabilizer)
+    table.fully_normalized = []
     for fclass in table.fusion_classes():
-        candidates = [m for cid in fclass for m in table.s_classes[cid].member_ids]
-        best, best_norm = None, -1
-        for m in sorted(candidates):
-            nsize = normalizer(table.sylow, table.subgroups[m], caps=caps).order
-            if nsize > best_norm:
-                best, best_norm = m, nsize
-        fidx = table.fusion_class_of[table.class_of_subgroup[best]]
-        table.fully_normalized[fidx] = best
+        smallest = min(fclass, key=lambda cid: (len(table.s_classes[cid].member_ids), cid))
+        best = table.s_classes[smallest].rep_id
+        best_norm = table.sylow.order // len(table.s_classes[smallest].member_ids)
+        table.fully_normalized.append(best)
         # Sylow's theorem guarantees some conjugate has N_S(P) Sylow in N_G(P)
         ng = table.ambient_normalizer(best, caps=caps)
         if p_valuation(ng.order, table.p) != p_valuation(best_norm, table.p):
@@ -268,12 +251,13 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
                 if Q.is_subgroup_of(R):
                     add_move("automizer", n, qid, fusion_class=fcls, gen_index=gi)
     # closure: connected components under the moves (inverses exist, so the
-    # directed reachability relation is symmetric on finite orbits)
-    comp = {}
+    # directed reachability relation is symmetric on finite orbits), each
+    # walked from its lowest id; paths[i] holds the moves from there to i
+    comp, paths = {}, {}
     for start in range(len(subgroups)):
         if start in comp:
             continue
-        comp[start] = start
+        comp[start], paths[start] = start, []
         frontier = [start]
         while frontier:
             nxt = []
@@ -281,34 +265,22 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
                 for mv in moves[i]:
                     if mv.target_id not in comp:
                         comp[mv.target_id] = start
-                        nxt.append(mv.target_id)
-            frontier = nxt
-    ok = True
-    for i in range(len(subgroups)):
-        for j in range(len(subgroups)):
-            local_fused = comp[i] == comp[j]
-            g_fused = table.fused(
-                table.class_of_subgroup[i], table.class_of_subgroup[j]
-            )
-            if local_fused != g_fused:
-                ok = False
-    # factorization chains between fused S-class representatives
-    chains = {}
-    for fclass in table.fusion_classes():
-        base = table.s_classes[fclass[0]].rep_id
-        paths = {base: []}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for mv in moves[i]:
-                    if mv.target_id not in paths:
                         paths[mv.target_id] = paths[i] + [mv]
                         nxt.append(mv.target_id)
             frontier = nxt
+    # local fusion equals G-fusion iff the two partitions of the ids coincide
+    fusion_of = [table.fusion_class_of[table.class_of_subgroup[i]] for i in range(len(subgroups))]
+    pairs = {(comp[i], fusion_of[i]) for i in range(len(subgroups))}
+    ok = len(pairs) == len(set(comp.values())) == len(set(fusion_of))
+    # factorization chains between fused S-class representatives; moves are
+    # G-conjugations, so a fusion class's lowest id, its first rep, starts
+    # the component of every rep it reaches
+    chains = {}
+    for fclass in table.fusion_classes():
+        base = table.s_classes[fclass[0]].rep_id
         for cid in fclass[1:]:
             rep = table.s_classes[cid].rep_id
-            if rep not in paths:
+            if comp[rep] != comp[base]:
                 if ok:
                     raise AssertionError("closure marked complete but no chain found")
                 continue

@@ -263,9 +263,6 @@ class PermGroup:
             self._elements = self.chain.element_tuples()
         return self._elements
 
-    def elements(self, cap=None):
-        return [Permutation(t) for t in self.element_tuples(cap)]
-
     def element_set(self, cap=None):
         return frozenset(self.element_tuples(cap))
 
@@ -616,27 +613,27 @@ def conjugating_element(G: PermGroup, A: PermGroup, B: PermGroup, caps: Caps = D
     """Some g in G with A^g = B, or None (search is exhaustive)."""
     if A.order != B.order:
         return None
-    return _conjugating_elements(G, A, [B], caps)[0]
+    target = B.element_set()
+    return _conjugation_walk(G, A, [target], caps).get(target)
 
 
-def _conjugating_elements(G: PermGroup, A: PermGroup, targets, caps: Caps = DEFAULT_CAPS):
-    """For each subgroup B of ``targets`` (all of A's order), some g in G with
-    A^g = B, or None if there is none.
+def _conjugation_walk(G: PermGroup, A: PermGroup, targets=None, caps: Caps = DEFAULT_CAPS) -> dict:
+    """``{element set of A^g: g}`` over the G-orbit of A under conjugation.
 
-    One breadth-first walk over the G-orbit of A's element set under
-    conjugation by G's generators, tracking witnesses, that stops once every
-    target is reached. A target's witness is the product along the path that
-    first reached it, so it does not depend on the other targets.
+    One breadth-first walk from A's element set, conjugating by G's
+    generators in order; each g is the product along the path that first
+    reached its key, so it does not depend on ``targets``. The walk stops
+    once every element set in ``targets`` is a key; with no targets it
+    covers the whole orbit.
     """
     caps.check("order_enum", A.order)
     start = A.element_set()
-    sets = [B.element_set() for B in targets]
     witnesses = {start: G.identity()}
-    missing = set(sets) - {start}
+    missing = None if targets is None else set(targets) - {start}
     node_cap = max(1, caps.order_enum // max(1, A.order))
     gens = [(g, g.images, g.inv().images) for g in G.generators]
     frontier = [start]
-    while frontier and missing:
+    while frontier and (missing is None or missing):
         nxt = []
         for node in frontier:
             w = witnesses[node]
@@ -645,14 +642,15 @@ def _conjugating_elements(G: PermGroup, A: PermGroup, targets, caps: Caps = DEFA
                 if image in witnesses:
                     continue
                 witnesses[image] = w * g
-                missing.discard(image)
-                if not missing:
-                    return [witnesses.get(s) for s in sets]
+                if missing is not None:
+                    missing.discard(image)
+                    if not missing:
+                        return witnesses
                 if len(witnesses) > node_cap:
                     raise CapExceeded("order_enum", caps.order_enum, len(witnesses) * A.order)
                 nxt.append(image)
         frontier = nxt
-    return [witnesses.get(s) for s in sets]
+    return witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +760,8 @@ def affine_semidirect(p: int, d: int, mats, caps: Caps = DEFAULT_CAPS) -> PermGr
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if d < 0:
+        raise ValueError(f"dimension {d} is negative")
     degree = p**d
     caps.check("degree", degree)
     for mat in mats:

@@ -17,6 +17,7 @@ from .group import (
     NotASubgroup,
     PermGroup,
     _class_table,
+    _conjugation_walk,
     _generated,
     center,
     derived_series,
@@ -217,11 +218,13 @@ def pi_core(G: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 
 def pi_residual(G: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """O^pi(G): the smallest normal subgroup with a pi-group quotient."""
-    pi = set(pi)
-    lat = normal_lattice(G, caps=caps)
-    family = [m for m in lat.members if set(prime_factors(G.order // m.order)) <= pi]
-    return lat.meet_all(family)
+    """O^pi(G): the smallest normal subgroup with a pi-group quotient, which
+    is the normal closure of the Sylow q-subgroups for the primes q not in pi."""
+    gens = []
+    for q in prime_factors(G.order):
+        if q not in pi:
+            gens.extend(sylow(G, q, caps=caps).generators)
+    return normal_closure(G, gens, caps=caps)
 
 
 def is_soluble(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -441,15 +444,6 @@ class TateCheck:
         return all(self.as_tuple())
 
 
-def _p_residual_direct(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """O^p(G) as the normal closure of the Sylow q-subgroups for q != p."""
-    gens = []
-    for q in prime_factors(G.order):
-        if q != p:
-            gens.extend(sylow(G, q, caps=caps).generators)
-    return normal_closure(G, gens, caps=caps)
-
-
 def _derived_agemo(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """G'G^p: the smallest normal subgroup with elementary abelian p-quotient."""
     gens = [a.commutator(b) for i, a in enumerate(G.generators) for b in G.generators[i + 1 :]]
@@ -475,7 +469,7 @@ def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
         return frozenset(e for e in s_elems if H.chain.contains(e))
 
     dG, dK = derived_subgroup(G, caps=caps), derived_subgroup(K, caps=caps)
-    opG, opK = _p_residual_direct(G, p, caps=caps), _p_residual_direct(K, p, caps=caps)
+    opG, opK = pi_residual(G, {p}, caps=caps), pi_residual(K, {p}, caps=caps)
     agG, agK = _derived_agemo(G, p, caps=caps), _derived_agemo(K, p, caps=caps)
     mixG = PermGroup(G.degree, dG.generators + opG.generators, caps=caps)
     mixK = PermGroup(K.degree, dK.generators + opK.generators, caps=caps)
@@ -721,8 +715,10 @@ def c_invariant(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
     if len(basis_lifts) != d:
         raise AssertionError("failed to find a basis of the Frattini quotient")
 
+    # the generators of Aut(S) fix the same subspaces as the whole group
     mats = set()
-    for m in aut.maps:
+    for a in aut.action.generators:
+        m = (0,) + tuple(v + 1 for v in a.images)
         cols = []
         for g in basis_lifts:
             image = aut.elements[m[elem_index[g.images]]]
@@ -741,25 +737,11 @@ def component_orbit_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS):
     """(number of Sylow-p orbits on Comp_p(G), d(S), orbit count <= d(S))."""
     comps = [Q for Q in components(G, caps=caps) if Q.order % p == 0]
     S = sylow(G, p, caps=caps)
-    sets = {Q.element_set(): Q for Q in comps}
-    unvisited = set(sets)
+    unvisited = {Q.element_set() for Q in comps}
     orbit_count = 0
-    while unvisited:
-        start = next(iter(sorted(unvisited, key=lambda s: sorted(s)[: 1])))
-        orbit_count += 1
-        frontier = [start]
-        unvisited.discard(start)
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for g in S.generators:
-                    g_inv = g.inv().images
-                    image = frozenset(
-                        tuple(g.images[x[g_inv[q]]] for q in range(G.degree)) for x in node
-                    )
-                    if image in unvisited:
-                        unvisited.discard(image)
-                        nxt.append(image)
-            frontier = nxt
+    for Q in comps:
+        if Q.element_set() in unvisited:
+            orbit_count += 1
+            unvisited -= _conjugation_walk(S, Q, caps=caps).keys()
     bound = pgroup_rank(S, caps=caps)
     return orbit_count, bound, orbit_count <= max(bound, 0) or orbit_count == 0

@@ -116,6 +116,9 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
         raise ValueError("depth must be between 1 and 4 (degrees grow as iterated exponentials)")
     if len(primes) < depth:
         raise ValueError(f"need {depth} primes, got {len(primes)}")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
     for a, b in zip(primes, primes[1:]):
         if a == b:
             raise ValueError("consecutive primes must be distinct (the action must be coprime-free)")

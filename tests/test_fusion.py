@@ -13,6 +13,7 @@ from oblique import (
     sylow,
     wreath_imprimitive,
 )
+from oblique.arith import prime_factors
 
 
 def perm(text, degree=None):
@@ -143,6 +144,18 @@ def test_automizer_examples():
     assert automizer(G, PermGroup.trivial(4)).order == 1
 
 
+def test_s_class_size_is_the_index_of_the_s_normalizer(corpus):
+    for name, G in corpus.items():
+        for p in prime_factors(G.order):
+            table = subgroup_classes_of_sylow(G, p)
+            S = table.sylow
+            if S.order > 64:
+                continue
+            for cls in table.s_classes:
+                for m in cls.member_ids:
+                    assert normalizer(S, table.subgroups[m]).order * len(cls.member_ids) == S.order, (name, p, m)
+
+
 def test_automizer_order_constraints():
     for G, p in ((PermGroup.symmetric(4), 2), (PermGroup.alternating(5), 2)):
         table = fusion_table(G, p)
@@ -185,6 +198,17 @@ def test_alperin_holds_on_corpus_instances(corpus):
             base = table.subgroups[table.s_classes[i].rep_id]
             rep = table.subgroups[table.s_classes[j].rep_id]
             assert base.conjugated(total).same_group(rep), (name, p, i, j)
+
+
+def test_alperin_fails_with_only_the_sylow_normalizer(corpus):
+    # N_G(S) alone controls fusion in A5 (its Sylow 2-subgroup is abelian)
+    # but not in S4 or S5, where fusion of subgroups of order 2 needs the
+    # automizer of a smaller fully normalized subgroup
+    for name, p, holds in (("S4", 2, False), ("S5", 2, False), ("A5", 2, True)):
+        table = fusion_table(corpus[name], p)
+        s_id = next(i for i, H in enumerate(table.subgroups) if H.order == table.sylow.order)
+        table.fully_normalized = [s_id] * len(table.fully_normalized)
+        assert alperin_closure_check(corpus[name], p, table=table)[0] == holds, name
 
 
 def test_alperin_trivial_when_sylow_normal():

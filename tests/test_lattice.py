@@ -1,3 +1,4 @@
+import itertools
 import random
 import weakref
 
@@ -39,7 +40,7 @@ from oblique import (
     tate_check,
     wreath_imprimitive,
 )
-from oblique.arith import digit_sum
+from oblique.arith import digit_sum, prime_factors
 from oblique.lattice import _class_seeds, all_subgroups, phi_lhd_height, pgroup_rank
 from oblique.towers import fitting_degenerate_tower
 
@@ -234,8 +235,6 @@ def test_pi_core_checks_the_lattice_cap_before_listing_classes():
 
 
 def test_pi_core_is_largest_normal_pi_subgroup(corpus):
-    from oblique.arith import prime_factors
-
     for name, G in corpus.items():
         if G.order > 300:
             continue
@@ -253,6 +252,17 @@ def test_pi_residual_examples():
     S3 = PermGroup.symmetric(3)
     assert pi_residual(S3, {3}).same_group(S3)
     assert pi_residual(S3, {2, 3}).order == 1
+
+
+def test_pi_residual_matches_the_meet_of_the_pi_quotient_members(corpus):
+    """O^pi as first defined: the meet of the normal subgroups with a pi-group quotient."""
+    for name, G in corpus.items():
+        primes = prime_factors(G.order)
+        lat = normal_lattice(G)
+        for r in range(len(primes) + 1):
+            for pi in itertools.combinations(primes, r):
+                family = [m for m in lat.members if set(prime_factors(G.order // m.order)) <= set(pi)]
+                assert pi_residual(G, pi).same_group(lat.meet_all(family)), (name, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +343,6 @@ def test_frattini_normal_monotone_under_normality(corpus):
 
 
 def test_trivial_normal_frattini_gives_product_of_simples(corpus):
-    from oblique.arith import prime_factors
 
     for name, G in corpus.items():
         if G.order > 2000 or G.order == 1:
@@ -529,7 +538,6 @@ def test_p_prime_normality_examples():
 
 
 def test_p_prime_normality_matches_tate(corpus):
-    from oblique.arith import prime_factors
 
     for name, G in corpus.items():
         if G.order > 300:

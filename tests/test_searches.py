@@ -25,7 +25,7 @@ from oblique import (
     normalizer,
     sylow,
 )
-from oblique.group import _conjugating_elements
+from oblique.group import _conjugation_walk
 
 from conftest import _compose, brute_closure
 
@@ -173,7 +173,21 @@ def test_walk_node_cap_matches_pairwise_reference():
         # one walk for all targets raises exactly when some one-target walk does
         errors = [w for w in want if isinstance(w, str)]
         try:
-            got = _conjugating_elements(G, A, targets, caps)
+            walked = _conjugation_walk(G, A, [B.element_set() for B in targets], caps)
+            got = [walked.get(B.element_set()) for B in targets]
         except CapExceeded as err:
             got = str(err)
         assert got == (errors[0] if errors else want), order_enum
+
+
+def test_walk_without_targets_is_the_brute_orbit(corpus):
+    for name, G in corpus.items():
+        if G.order > 720:
+            continue
+        g_elems = brute_closure(G.degree, [g.images for g in G.generators])
+        for A in (sylow(G, 2), sylow(G, 3), PermGroup(G.degree, [G.generators[0]])):
+            start = frozenset(A.element_tuples())
+            walked = _conjugation_walk(G, A)
+            assert set(walked) == {frozenset(_conj(x, g) for x in start) for g in g_elems}, name
+            for image, w in walked.items():
+                assert frozenset(_conj(x, w.images) for x in start) == image, name

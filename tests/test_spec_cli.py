@@ -230,6 +230,22 @@ def test_exit_code_1_on_wreath_tower_with_non_prime():
     assert json.loads(err) == {"error": "input", "message": "4 is not prime"}
 
 
+def test_exit_code_1_on_fitting_tower_with_non_prime():
+    for params, bad in (("4,3", "4"), ("1,2", "1"), ("2,9", "9")):
+        code, out, err = run_cli("tower", "--family", "fitting", "--params", params)
+        assert code == 1 and out == "" and err.count("\n") == 1, params
+        assert json.loads(err) == {"error": "input", "message": f"{bad} is not prime"}
+
+
+def test_exit_code_1_on_affine_with_negative_dimension():
+    code, out, err = run_cli("invariants", "affine(2,-1)")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "input"
+    assert "dimension -1 is negative" in json.loads(err)["message"]
+    code, out, _ = run_cli("invariants", "affine(2,0)")
+    assert code == 0 and json.loads(out)["invariants"]["order"] == 1
+
+
 def test_exit_code_1_on_tate_with_p_below_two():
     """p = 1 and p = -1 used to loop forever in p_part, so each case runs in
     its own process with a timeout: a hang fails the test instead of the run."""
