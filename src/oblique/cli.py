@@ -20,9 +20,9 @@ from .fusion import alperin_closure_check, fusion_table
 from .group import NotASubgroup, PermGroup
 from .groupspec import SpecError, build_group, parse_spec
 from .lattice import (
+    _fitting_product,
     fitting,
     frattini_normal,
-    generalized_fitting,
     layer,
     ob_function,
     ob_star_function,
@@ -126,11 +126,12 @@ def _provenance(args, caps):
 def _cmd_invariants(args, caps):
     spec = parse_spec(args.spec)
     G = build_group(spec, caps=caps)
+    F, E = fitting(G, caps=caps), layer(G, caps=caps)
     inv = {
         "order": G.order,
-        "fitting": fitting(G, caps=caps).order,
-        "layer": layer(G, caps=caps).order,
-        "generalized_fitting": generalized_fitting(G, caps=caps).order,
+        "fitting": F.order,
+        "layer": E.order,
+        "generalized_fitting": _fitting_product(F, E, caps).order,
         "frattini_normal": frattini_normal(G, caps=caps).order,
         "frattini_normal_height": phi_lhd_height(G, caps=caps),
         "cores": {str(p): pi_core(G, {p}, caps=caps).order for p in prime_factors(G.order)},

@@ -28,17 +28,12 @@ from .perm import Permutation, _conj, _inverse
 
 @dataclass
 class Automizer:
-    """N_G(P)/C_G(P) as a group of automorphisms of P.
-
-    ``generators`` lists (conjugator, index permutation of P's sorted
-    elements) pairs; the index permutations generate ``action``.
-    """
+    """N_G(P)/C_G(P) as a group of automorphisms of P: ``action`` permutes
+    the indices of P's sorted elements."""
 
     subgroup: PermGroup
     order: int
-    generators: list
     action: PermGroup
-    elements: list  # sorted elements of P, the action's points
 
 
 @dataclass
@@ -130,17 +125,9 @@ def _automizer(P: PermGroup, N: PermGroup, caps: Caps) -> Automizer:
         n_inv = _inverse(n.images)
         perms.append(Permutation(tuple(index[_conj(t, n.images, n_inv)] for t in elems)))
     action = _generated(npoints, [], perms, caps)
-    conjugator = dict(zip(reversed(perms), reversed(N.generators)))  # the first n giving each perm
-    gens = [(conjugator[perm], perm) for perm in action.generators]
     if action.order != order:
         raise AssertionError("automizer action order mismatch")
-    return Automizer(
-        subgroup=P,
-        order=order,
-        generators=gens,
-        action=action,
-        elements=[Permutation(t) for t in elems],
-    )
+    return Automizer(subgroup=P, order=order, action=action)
 
 
 def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> FusionTable:

@@ -299,9 +299,12 @@ def layer(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 def generalized_fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """F*(G) = F(G) E(G)."""
-    return PermGroup(
-        G.degree, fitting(G, caps=caps).generators + layer(G, caps=caps).generators, caps=caps
-    )
+    return _fitting_product(fitting(G, caps=caps), layer(G, caps=caps), caps)
+
+
+def _fitting_product(F: PermGroup, E: PermGroup, caps: Caps) -> PermGroup:
+    """F*(G) from F = F(G) and E = E(G)."""
+    return PermGroup(F.degree, F.generators + E.generators, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +324,7 @@ def frattini_pgroup(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         raise ValueError("frattini_pgroup requires a p-group")
     if not primes:
         return PermGroup.trivial(S.degree, caps=caps)
-    p = primes[0]
-    gens = [a.commutator(b) for i, a in enumerate(S.generators) for b in S.generators[i + 1 :]]
-    gens += [g**p for g in S.generators]
-    return normal_closure(S, gens, caps=caps)
+    return _derived_agemo(S, primes[0], caps)
 
 
 def pgroup_rank(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
@@ -489,7 +489,8 @@ def is_p_prime_normal(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# automorphisms of small groups, the c-invariant
+# automorphisms of small groups, the c-invariant from the invariant subgroups
+# above Phi(S)
 
 
 @dataclass
@@ -574,159 +575,67 @@ def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
     return AutGroup(G, [Permutation(t) for t in elems], maps, action)
 
 
-def _spin(vec, mats, p):
-    """Basis (row echelon) of the submodule generated by vec."""
-    basis = []
-
-    def reduce_vec(v):
-        v = list(v)
-        for pivot, b in basis:
-            if v[pivot]:
-                f = v[pivot] * pow(b[pivot], -1, p) % p
-                v = [(a - f * c) % p for a, c in zip(v, b)]
-        return v
-
-    def add(v):
-        v = reduce_vec(v)
-        for i, a in enumerate(v):
-            if a:
-                basis.append((i, v))
-                return True
-        return False
-
-    add(vec)
-    frontier = [v for _, v in basis]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in mats:
-                w = [sum(m[r][c] * v[c] for c in range(len(v))) % p for r in range(len(v))]
-                before = len(basis)
-                if add(w) and len(basis) > before:
-                    nxt.append(basis[-1][1])
-        frontier = nxt
-    return [b for _, b in basis]
-
-
-def _composition_dims(mats, d, p):
-    """Dimensions of the composition factors of F_p^d under the given matrices."""
-    if d == 0:
-        return []
-    best = None
-    for coords in itertools.product(range(p), repeat=d):
-        if next((x for x in coords if x), 0) != 1:
-            continue  # one vector per 1-dim subspace: its first multiple here leads with 1
-        basis = _spin(list(coords), mats, p)
-        if best is None or len(basis) < len(best):
-            best = basis
-        if len(best) == 1:
-            break
-    w = len(best)
-    if w == d:
-        return [d]
-    # extend to a full basis, rewrite the action on the quotient
-    full = [list(v) for v in best]
-    for i in range(d):
-        e = [1 if j == i else 0 for j in range(d)]
-        trial = full + [e]
-        if _rank(trial, p) > len(full):
-            full.append(e)
-    inv = _mat_inv(full, p)  # columns express ambient coords in the new basis
-
-    def coords_in_basis(v):
-        return [sum(inv[r][c] * v[c] for c in range(d)) % p for r in range(d)]
-
-    quot_mats = []
-    for m in mats:
-        qm = []
-        for j in range(w, d):
-            mv = [sum(m[r][c] * full[j][c] for c in range(d)) % p for r in range(d)]
-            qm.append(coords_in_basis(mv)[w:])
-        quot_mats.append([[qm[c][r] for c in range(d - w)] for r in range(d - w)])
-    return [w] + _composition_dims(quot_mats, d - w, p)
-
-
-def _rank(rows, p):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _mat_inv(rows, p):
-    """Inverse of the matrix whose columns are the given basis vectors."""
-    from .group import _mat_inverse_mod
-
-    bt = [[rows[c][r] for c in range(len(rows))] for r in range(len(rows))]
-    inv = _mat_inverse_mod(bt, p)
-    if inv is None:
-        raise AssertionError("basis matrix must be invertible")
-    return inv
-
-
 def c_invariant(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
-    """Largest dimension of a composition factor of S/Phi(S) under Aut(S)."""
+    """Largest dimension of a composition factor of S/Phi(S) under Aut(S).
+
+    The Aut(S)-submodules of S/Phi(S) are the Aut(S)-invariant subgroups
+    between Phi(S) and S. From M = Phi(S), each step moves M up to the
+    smallest invariant subgroup generated by M and one more element, trying
+    one x per cyclic class <x>M. That subgroup is minimal over M, so its
+    index is p^k for k the dimension of a composition factor; by
+    Jordan-Hoelder the largest k over the steps does not depend on the choices.
+    """
     primes = prime_factors(S.order)
     if len(primes) != 1:
         raise ValueError("c_invariant is defined for nontrivial p-groups")
     p = primes[0]
     phi = frattini_pgroup(S, caps=caps)
-    Q, proj = quotient_action(S, phi, caps=caps)
-    d = p_valuation(Q.order, p)
+    d = p_valuation(S.order // phi.order, p)
     if d > 8:
-        raise ValueError(f"Frattini quotient rank {d} exceeds the spinning cap of 8")
+        raise ValueError(f"Frattini quotient rank {d} exceeds 8")
     aut = aut_group_small(S, caps=caps)
-    elem_index = {g.images: i for i, g in enumerate(aut.elements)}
-    # choose lifts whose images form a basis of the Frattini quotient
-    span = {proj.apply(S.identity()).images: [0] * d}
-    basis_lifts = []
-    for g in aut.elements:
-        img = proj.apply(g).images
-        if img in span:
-            continue
-        k = len(basis_lifts)
-        basis_lifts.append(g)
-        new_span = dict(span)
-        power = g
-        img_power = img
-        for c in range(1, p):
-            for t, vec in span.items():
-                combo = _compose(t, img_power)
-                v = list(vec)
-                v[k] = c
-                new_span[combo] = v
-            power = power * g
-            img_power = proj.apply(power).images
-        span = new_span
-        if len(basis_lifts) == d:
-            break
-    if len(basis_lifts) != d:
-        raise AssertionError("failed to find a basis of the Frattini quotient")
+    elems = [g.images for g in aut.elements]
+    index = {t: i for i, t in enumerate(elems)}
+    # the generators of Aut(S) on element indices (index 0 is the identity)
+    auts = [(0,) + tuple(v + 1 for v in a.images) for a in aut.action.generators]
 
-    # the generators of Aut(S) fix the same subspaces as the whole group
-    mats = set()
-    for a in aut.action.generators:
-        m = (0,) + tuple(v + 1 for v in a.images)
-        cols = []
-        for g in basis_lifts:
-            image = aut.elements[m[elem_index[g.images]]]
-            cols.append(span[proj.apply(image).images])
-        mat = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-        mats.add(mat)
-    dims = _composition_dims([[list(r) for r in m] for m in sorted(mats)], d, p)
-    return max(dims)
+    def cosets(H, y):
+        """H y^k for 0 < k < p, as element indices."""
+        out, power = [], elems[y]
+        for _ in range(1, p):
+            out.extend(index[_compose(elems[h], power)] for h in H)
+            power = _compose(power, elems[y])
+        return out
+
+    def close(M, x):
+        """The smallest invariant subgroup holding M and x. A subgroup H above
+        Phi(S) is normal and holds y^p, so H<y> is H and its cosets H y^k."""
+        H, todo = set(M), [x]
+        while todo:
+            y = todo.pop()
+            if y not in H:
+                H.update(cosets(H, y))
+                todo.extend(a[y] for a in auts)
+        return H
+
+    M = {index[g] for g in phi.element_tuples()}
+    c = 0
+    while len(M) < len(elems):
+        best, tried = None, set(M)
+        for x in range(len(elems)):
+            if x in tried:
+                continue
+            tried.update(cosets(M, x))
+            H = close(M, x)
+            if best is None or len(H) < len(best):
+                best = H
+                if len(H) == p * len(M):
+                    break
+        k = p_valuation(len(best) // len(M), p)
+        if k == 0 or p**k * len(M) != len(best):
+            raise AssertionError("an invariant subgroup step is not a p-power index")
+        c, M = max(c, k), best
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,19 @@ def test_c_invariant_matches_characteristic_subgroup_oracle():
             got = c_invariant(S)
             assert got == expected, (p, S.order)
             assert got == _oracle_max_factor_dim(S, p), (p, S.order)
+    # c below d(S): a characteristic subgroup such as Omega_1(S)Phi(S) lies
+    # strictly between Phi(S) and S
+    D8 = PermGroup.dihedral(4)
+    cases = [
+        (direct_product(direct_product(C(4), C(2)), C(2)), 2, 2),
+        (direct_product(D8, C(2)), 2, 1),
+        (sylow(PermGroup.symmetric(6), 2), 2, 1),
+        (direct_product(C(9), C(3)), 3, 1),
+    ]
+    for S, p, expected in cases:
+        got = c_invariant(S)
+        assert got == expected, (p, S.order)
+        assert got == _oracle_max_factor_dim(S, p), (p, S.order)
     assert time.perf_counter() - started < 120.0
 
 

@@ -168,6 +168,16 @@ def test_lattice_of_random_groups_matches_brute_normal_subgroups(G):
         assert m.order == sum(size for i, size in enumerate(sizes) if lat._masks[m] >> i & 1)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_small_groups())
+def test_conjugacy_classes_of_random_groups_match_brute_classes(G):
+    """Each class as (its least element, its size), in the order of
+    (size, representative)."""
+    elements = brute_closure(G.degree, [g.images for g in G.generators])
+    brute = sorted((len(c), min(c)) for c in brute_conjugacy_classes(elements))
+    assert [(size, rep.images) for rep, size in conjugacy_classes(G)] == brute
+
+
 def _brute_generated(degree, elements):
     """brute_closure of ``elements``, taking as generators only those not
     already generated by the earlier ones."""
@@ -605,6 +615,15 @@ def test_c_invariant_checks_only_the_given_caps(monkeypatch):
 def test_c_invariant_requires_p_group():
     with pytest.raises(ValueError):
         c_invariant(PermGroup.symmetric(3))
+
+
+def test_c_invariant_rejects_frattini_rank_above_8():
+    C2_9 = PermGroup.cyclic(2)
+    for _ in range(8):
+        C2_9 = direct_product(C2_9, PermGroup.cyclic(2))
+    assert pgroup_rank(C2_9) == 9
+    with pytest.raises(ValueError, match="rank 9"):
+        c_invariant(C2_9)
 
 
 # ---------------------------------------------------------------------------
