@@ -734,24 +734,6 @@ def wreath_imprimitive(A: PermGroup, m: int, top: PermGroup, caps: Caps = DEFAUL
     return PermGroup(degree, gens, caps=caps)
 
 
-def _mat_inverse_mod(mat, p):
-    """Inverse of a matrix over F_p, or None if singular."""
-    n = len(mat)
-    aug = [[v % p for v in row] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def affine_semidirect(p: int, d: int, mats, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """F_p^d . <mats> acting on the p^d vectors (translations + linear maps).
 
@@ -764,11 +746,6 @@ def affine_semidirect(p: int, d: int, mats, caps: Caps = DEFAULT_CAPS) -> PermGr
         raise ValueError(f"dimension {d} is negative")
     degree = p**d
     caps.check("degree", degree)
-    for mat in mats:
-        if len(mat) != d or any(len(row) != d for row in mat):
-            raise ValueError(f"matrix is not {d}x{d}: {mat}")
-        if _mat_inverse_mod(mat, p) is None:
-            raise ValueError(f"singular matrix over F_{p}: {mat}")
 
     def to_vec(point):
         v = []
@@ -789,9 +766,14 @@ def affine_semidirect(p: int, d: int, mats, caps: Caps = DEFAULT_CAPS) -> PermGr
             images.append(to_point(v))
         gens.append(Permutation(images))
     for mat in mats:
+        if len(mat) != d or any(len(row) != d for row in mat):
+            raise ValueError(f"matrix is not {d}x{d}: {mat}")
         images = []
         for pt in range(degree):
             v = to_vec(pt)
             images.append(to_point([sum(mat[r][c] * v[c] for c in range(d)) % p for r in range(d)]))
+        # a linear map of F_p^d is invertible iff it permutes the p^d vectors
+        if len(set(images)) != degree:
+            raise ValueError(f"singular matrix over F_{p}: {mat}")
         gens.append(Permutation(images))
     return PermGroup(degree, gens, caps=caps)

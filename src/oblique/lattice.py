@@ -19,12 +19,10 @@ from .group import (
     _class_table,
     _conjugation_walk,
     _generated,
-    center,
     derived_series,
     derived_subgroup,
     intersection,
     normal_closure,
-    quotient_action,
     sylow,
 )
 from .perm import Permutation, _compose
@@ -36,77 +34,85 @@ class NormalLattice:
     A normal subgroup is a union of conjugacy classes, so each member is an
     int mask over ``conjugacy_classes(ambient)``: bit i is set when it holds
     the representative of class i (bit 0 is the identity class). Meets, joins
-    and containment tests are integer operations on masks. A mask alone is no
+    and containment tests are integer operations on masks, and each member's
+    order is kept; its group is built only when asked for. A mask alone is no
     proof of membership (in S4, <(1 2),(3 4)> has the order of V4 but is not
-    normal), so ``index_of`` checks the one candidate it names by ``same_group``.
+    normal), so a group is checked against the member its mask names by ``same_group``.
     """
 
-    def __init__(self, ambient: PermGroup, members):
+    def __init__(self, ambient: PermGroup, orders, caps: Caps):
         self.ambient = ambient
-        self.members = sorted(members.values(), key=lambda m: m.order)  # members: {mask: group}
-        self._by_mask = members
-        self._masks = {m: mask for mask, m in members.items()}
-        self._index = {self._masks[m]: i for i, m in enumerate(self.members)}
+        self._orders = dict(sorted(orders.items(), key=lambda item: item[1]))  # {mask: order}, by order
+        self._groups = {}
+        self._caps = caps
         self._classes = _class_seeds(ambient)[0]
         self._full = (1 << len(self._classes)) - 1
 
     def __len__(self):
-        return len(self.members)
+        return len(self._orders)
+
+    @property
+    def members(self):
+        return [self.group(mask) for mask in self._orders]
 
     def orders(self):
-        return [m.order for m in self.members]
+        return list(self._orders.values())
+
+    def group(self, mask: int) -> PermGroup:
+        """The member with class mask ``mask``, built on first use."""
+        if mask not in self._groups:
+            self._groups[mask] = _normal_group(self.ambient, mask, self._caps)
+        return self._groups[mask]
+
+    def _mask(self, H: PermGroup) -> int:
+        if H.degree == self.ambient.degree:
+            mask = sum(1 << i for i, (rep, _) in enumerate(self._classes) if H.chain.contains(rep))
+            if mask in self._orders and self.group(mask).same_group(H):
+                return mask
+        raise NotASubgroup("subgroup is not a member of the normal lattice")
 
     def index_of(self, H: PermGroup):
-        i = self._index.get(_class_mask(H, self._classes)) if H.degree == self.ambient.degree else None
-        if i is None or not self.members[i].same_group(H):
-            raise NotASubgroup("subgroup is not a member of the normal lattice")
-        return i
+        return list(self._orders).index(self._mask(H))
 
-    def _mask_of(self, H: PermGroup) -> int:
-        if H not in self._masks:
-            H = self.members[self.index_of(H)]
-        return self._masks[H]
-
-    def _meet_masks(self, masks) -> PermGroup:
+    def _meet(self, masks) -> int:
         out = self._full
         for mask in masks:
             out &= mask
-        return self._by_mask[out]
+        return out
 
     def join(self, A: PermGroup, B: PermGroup) -> PermGroup:
         """The meet of every member that contains both (the lattice is complete)."""
-        union = self._mask_of(A) | self._mask_of(B)
-        return self._meet_masks(m for m in self._index if union & ~m == 0)
+        union = self._mask(A) | self._mask(B)
+        return self.group(self._meet(m for m in self._orders if union & ~m == 0))
 
     def meet(self, A: PermGroup, B: PermGroup) -> PermGroup:
-        return self._meet_masks((self._mask_of(A), self._mask_of(B)))
+        return self.group(self._mask(A) & self._mask(B))
 
     def meet_all(self, groups) -> PermGroup:
         """Meet of a family of members; the empty meet is the ambient group."""
-        return self._meet_masks(self._mask_of(H) for H in groups)
-
-    def maximal_members(self):
-        """Maximal proper normal subgroups."""
-        proper = [m for m in self._index if m != self._full]
-        return [self._by_mask[a] for a in proper if not any(a != b and a & ~b == 0 for b in proper)]
+        return self.group(self._meet(self._mask(H) for H in groups))
 
     def minimal_members(self):
         """Minimal nontrivial normal subgroups."""
-        nontrivial = [m for m in self._index if m != 1]
-        return [self._by_mask[a] for a in nontrivial if not any(a != b and b & ~a == 0 for b in nontrivial)]
+        nontrivial = [m for m in self._orders if m != 1]
+        return [self.group(a) for a in nontrivial if not any(a != b and b & ~a == 0 for b in nontrivial)]
 
+    def _small_normals(self, n: int) -> int:
+        """I_n(G): the meet of the members of index at most n."""
+        top = self._orders[self._full]
+        return self._meet(m for m, order in self._orders.items() if top // order <= n)
 
-def _class_mask(H: PermGroup, classes) -> int:
-    return sum(1 << i for i, (rep, _) in enumerate(classes) if H.chain.contains(rep))
+    def _oblique(self, h: int) -> int:
+        """Ob_G(H) for the member H with mask h: H meet every member not inside H."""
+        return self._meet([h] + [m for m in self._orders if m & ~h])
 
 
 def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     """(classes, seeds, class_of, masks), cached: :func:`_class_table`'s
     classes and class_of, each class's normal closure <c^G> as a class mask
-    (:func:`_close`), and the distinct closures (the seeds) by mask, in the
-    order of their first class. Every normal subgroup is a join of seeds, a
-    pi-core of some. A chain is built only per seed. Callers that need the
-    lattice cap check it first.
+    (:func:`_close`), and the distinct closures (the seeds) with their orders,
+    in the order of their first class. Every normal subgroup is a join of
+    seeds, a pi-core of some. Callers that need the lattice cap check it first.
     """
     if G._seeds is None:
         classes, class_of = _class_table(G, caps)
@@ -115,17 +121,13 @@ def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
             mask = _close(classes, class_of, 1 | 1 << c, classes[c][0], masks)
             masks.append(mask)
             if mask not in seeds:
-                seeds[mask] = _checked(normal_closure(G, [Permutation(classes[c][0])], caps=caps), classes, mask)
+                seeds[mask] = _size(classes, mask)
         G._seeds = (classes, seeds, class_of, masks)
     return G._seeds
 
 
-def _checked(N: PermGroup, classes, mask) -> PermGroup:
-    """N, once its order is checked to be the summed size of the classes in ``mask``."""
-    size = sum(len(classes[i][1]) for i in _bits(mask))
-    if N.order != size:
-        raise AssertionError(f"normal subgroup has order {N.order}, its class mask {size}")
-    return N
+def _size(classes, mask) -> int:
+    return sum(len(classes[i][1]) for i in _bits(mask))
 
 
 def _bits(mask):
@@ -166,6 +168,32 @@ def _close(classes, class_of, mask, r, known):
     return mask
 
 
+def _seed_join(G: PermGroup, keep, caps: Caps) -> int:
+    """The join of the class seeds whose order passes ``keep``, as a class mask."""
+    caps.check("lattice", G.order)
+    classes, seeds, class_of, masks = _class_seeds(G, caps=caps)
+    out = 1
+    for c, seed in enumerate(masks):
+        if not out >> c & 1 and keep(seeds[seed]):
+            out = _close(classes, class_of, out | 1 << c, classes[c][0], masks)
+    return out
+
+
+def _normal_group(G: PermGroup, mask: int, caps: Caps) -> PermGroup:
+    """The normal subgroup of G with class mask ``mask``: G for the full mask,
+    else the normal closure of one class from each seed the mask needs (the
+    maximal seeds inside it), once its order is checked against the mask."""
+    classes, seeds, _, masks = _class_seeds(G, caps=caps)
+    if mask == (1 << len(classes)) - 1:
+        return G
+    inside = [s for s in seeds if s & ~mask == 0]
+    maximal = [s for s in inside if not any(s != t and s & ~t == 0 for t in inside)]
+    N = normal_closure(G, [Permutation(classes[masks.index(s)][0]) for s in maximal], caps=caps)
+    if N.order != _size(classes, mask):
+        raise AssertionError(f"normal subgroup has order {N.order}, its class mask {_size(classes, mask)}")
+    return N
+
+
 def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     if G._lattice is None:
         caps.check("lattice", G.order)
@@ -173,14 +201,12 @@ def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
         # top is a copy of G: a cycle G -> G._lattice -> G would outlive G until a full gc
         top = PermGroup(G.degree, G.generators, caps=caps)
         top._chain, top._seeds = G.chain, G._seeds
-        members = {1: PermGroup.trivial(G.degree, caps=caps), (1 << len(classes)) - 1: top}
-        for mask, s in seeds.items():
-            members.setdefault(mask, s)
-        # every member is a join of seeds, so join each member with each seed; a join
-        # depends only on the masks' union, and gets a group only if it is new
+        orders = {1: 1, (1 << len(classes)) - 1: G.order, **seeds}
+        # every member is a join of seeds, so join each member with each seed;
+        # a join depends only on the masks' union
         reps = {s: classes[masks.index(s)][0] for s in seeds}  # seed s = <r^G>
-        known = set(members)  # unions whose join has been found
-        frontier = list(members)
+        known = set(orders)  # unions whose join has been found
+        frontier = list(orders)
         while frontier:
             new = []
             for a in frontier:
@@ -189,12 +215,11 @@ def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
                         continue
                     mask = _close(classes, class_of, a | s, r, masks)
                     known.update((a | s, mask))
-                    if mask not in members:
-                        j = PermGroup(G.degree, members[a].generators + seeds[s].generators, caps=caps)
-                        members[mask] = _checked(j, classes, mask)
+                    if mask not in orders:
+                        orders[mask] = _size(classes, mask)
                         new.append(mask)
             frontier = new
-        G._lattice = NormalLattice(top, members)
+        G._lattice = NormalLattice(top, orders, caps)
     return G._lattice
 
 
@@ -208,13 +233,8 @@ def pi_core(G: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     An element lies in O_pi exactly when its normal closure is a pi-group,
     so O_pi is the join of the pi-group class seeds.
     """
-    caps.check("lattice", G.order)
     pi = set(pi)
-    gens = []
-    for s in _class_seeds(G, caps=caps)[1].values():
-        if set(prime_factors(s.order)) <= pi:
-            gens.extend(s.generators)
-    return PermGroup(G.degree, gens, caps=caps)
+    return _normal_group(G, _seed_join(G, lambda order: set(prime_factors(order)) <= pi, caps), caps)
 
 
 def pi_residual(G: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -233,68 +253,56 @@ def is_soluble(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
 
 def is_simple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
     """A nontrivial G is simple when every class seed is G."""
-    if G.order == 1:
-        return False
-    return all(s.order == G.order for s in _class_seeds(G, caps=caps)[1].values())
+    return G.order > 1 and all(order == G.order for order in _class_seeds(G, caps=caps)[1].values())
 
 
 def is_quasisimple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Perfect with simple central quotient."""
+    """Perfect with simple central quotient: Z(G), the union of the one-element
+    classes, is proper, and Z(G)<c^G> = G for every class c outside it."""
     if G.order == 1 or derived_subgroup(G, caps=caps).order < G.order:
         return False
-    Z = center(G, caps=caps)
-    if Z.is_trivial():
-        return is_simple(G, caps=caps)
-    Q, _ = quotient_action(G, Z, caps=caps)
-    return is_simple(Q, caps=caps)
+    classes, _, class_of, masks = _class_seeds(G, caps=caps)
+    z = sum(1 << c for c, (_, keys) in enumerate(classes) if len(keys) == 1)
+    full = (1 << len(classes)) - 1
+    return all(_close(classes, class_of, z | 1 << c, classes[c][0], masks) == full for c in _bits(full & ~z))
 
 
 def components(G: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """The subnormal quasisimple subgroups of G.
-
-    Recursion over the normal lattice; soluble subgroups are pruned since
-    they contain no perfect nontrivial subgroup. Memoised by element set
-    within this ambient group only.
+    """The subnormal quasisimple subgroups of G, read off the minimal
+    non-soluble normal subgroups only (Aschbacher, *Finite Group Theory*, sec. 31).
+    For a component K, K^G is one of them: a normal N inside K^G holds K or
+    centralizes its conjugates and lies in the soluble Z(K^G). So distinct
+    minimal members hold disjoint sets of components. If G is its own only one,
+    K^G = G is the central product of the conjugates of K, each then normal, so
+    K = G is quasisimple. A member N is soluble iff the largest member B properly
+    inside it is and |N:B| is a prime power, as N/B is a chief factor.
     """
-    return _components(G, {}, caps)
+    if is_soluble(G, caps=caps):
+        return []
+    if is_quasisimple(G, caps=caps):
+        return [G]
+    lat = normal_lattice(G, caps=caps)
+    soluble = {}  # in order of size, so B is decided before N
+    for m, order in lat._orders.items():
+        b = max((x for x in soluble if x & ~m == 0), key=lat._orders.get, default=None)
+        soluble[m] = b is None or soluble[b] and len(prime_factors(order // lat._orders[b])) == 1
+    bad = [m for m, ok in soluble.items() if not ok]
+    minimal = [a for a in bad if not any(a != b and b & ~a == 0 for b in bad)]
+    return [] if minimal == [lat._full] else [K for m in minimal for K in components(lat.group(m), caps=caps)]
 
 
-def _components(H: PermGroup, memo, caps: Caps):
-    # not a closure: a recursive closure keeps its memo in a reference cycle
-    key = (H.order, H.element_set())
-    if key in memo:
-        return memo[key]
-    if H.order == 1 or is_soluble(H, caps=caps):
-        out = []
-    elif is_quasisimple(H, caps=caps):
-        out = [H]
-    else:
-        out = []
-        seen = set()
-        for N in normal_lattice(H, caps=caps).members:
-            if N.order in (1, H.order):
-                continue
-            for Q in _components(N, memo, caps):
-                qkey = (Q.order, Q.element_set())
-                if qkey not in seen:
-                    seen.add(qkey)
-                    out.append(Q)
-    memo[key] = out
-    return out
+def _fitting_mask(G: PermGroup, caps: Caps) -> int:
+    return _seed_join(G, lambda order: len(prime_factors(order)) == 1, caps)
 
 
 def fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """F(G): join of the p-cores over primes dividing |G|."""
-    gens = [g for p in prime_factors(G.order) for g in pi_core(G, {p}, caps=caps).generators]
-    return PermGroup(G.degree, gens, caps=caps)
+    """F(G): the largest nilpotent normal subgroup, the join of the class seeds of prime-power order."""
+    return _normal_group(G, _fitting_mask(G, caps), caps)
 
 
 def layer(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """E(G): join of the components."""
-    gens = []
-    for Q in components(G, caps=caps):
-        gens.extend(Q.generators)
-    return PermGroup(G.degree, gens, caps=caps)
+    return PermGroup(G.degree, [g for Q in components(G, caps=caps) for g in Q.generators], caps=caps)
 
 
 def generalized_fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -314,7 +322,8 @@ def _fitting_product(F: PermGroup, E: PermGroup, caps: Caps) -> PermGroup:
 def frattini_normal(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """The intersection of the maximal normal subgroups (G itself if none)."""
     lat = normal_lattice(G, caps=caps)
-    return lat.meet_all(lat.maximal_members())
+    proper = [m for m in lat._orders if m != lat._full]
+    return lat.group(lat._meet(a for a in proper if not any(a != b and a & ~b == 0 for b in proper)))
 
 
 def frattini_pgroup(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -355,7 +364,7 @@ def phi_lhd_height(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
 def intersection_of_small_normals(G: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """I_n(G): meet of the normal subgroups of index at most n."""
     lat = normal_lattice(G, caps=caps)
-    return lat.meet_all(m for m in lat.members if G.order // m.order <= n)
+    return lat.group(lat._small_normals(n))
 
 
 def oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -364,10 +373,10 @@ def oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     The empty family has meet G, so Ob_G(G) = G.
     """
     lat = normal_lattice(G, caps=caps)
-    h = lat._masks.get(H)
-    if h is not None:
-        return lat._meet_masks([h] + [m for m in lat._index if m & ~h])
-    return intersection(H, lat.meet_all(m for m in lat.members if not m.is_subgroup_of(H)), caps=caps)
+    if H.is_normal_in(G):
+        return lat.group(lat._oblique(lat._mask(H)))
+    above = lat._meet(m for m, N in zip(lat._orders, lat.members) if not N.is_subgroup_of(H))
+    return intersection(H, lat.group(above), caps=caps)
 
 
 def all_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS, cap_name: str = "ob_star"):
@@ -411,8 +420,13 @@ def strong_oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -
 
 def ob_function(G: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> int:
     """ob_G(n) = |G : Ob_G(I_n(G))|."""
-    core = oblique_core(G, intersection_of_small_normals(G, n, caps=caps), caps=caps)
-    return G.order // core.order
+    return G.order // normal_lattice(G, caps=caps)._orders[_ob_core(G, n, caps)]
+
+
+def _ob_core(G: PermGroup, n: int, caps: Caps) -> int:
+    """Ob_G(I_n(G)) as a class mask."""
+    lat = normal_lattice(G, caps=caps)
+    return lat._oblique(lat._small_normals(n))
 
 
 def ob_star_function(G: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -483,9 +497,7 @@ def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
 
 def is_p_prime_normal(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """True iff G has a normal p-complement (normal p'-Hall subgroup)."""
-    target = p_prime_part(G.order, p)
-    lat = normal_lattice(G, caps=caps)
-    return any(m.order == target for m in lat.members)
+    return p_prime_part(G.order, p) in normal_lattice(G, caps=caps).orders()
 
 
 # ---------------------------------------------------------------------------

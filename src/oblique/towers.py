@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .arith import is_prime, legendre_factorial_valuation
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
-from .group import PermGroup, affine_semidirect, intersection, wreath_imprimitive
+from .group import PermGroup, _base_images, affine_semidirect, wreath_imprimitive
 from .hom import GroupHom
-from .lattice import fitting, intersection_of_small_normals, ob_function, oblique_core
+from .lattice import _class_seeds, _fitting_mask, _ob_core, _size, ob_function
 from .perm import Permutation
 
 
@@ -147,8 +147,12 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
     return Tower(levels, maps, "fitting-degenerate", (primes[:depth], depth))
 
 
-def _oblique_of_small_normals(G: PermGroup, n: int, caps: Caps):
-    return oblique_core(G, intersection_of_small_normals(G, n, caps=caps), caps=caps)
+def _preimage(hom: GroupHom, mask: int, caps: Caps) -> int:
+    """The class mask of the full preimage under ``hom`` of the normal subgroup of
+    its codomain with class mask ``mask``: the classes whose representative maps into it."""
+    class_of, key = _class_seeds(hom.codomain, caps=caps)[2], _base_images(hom.codomain.chain.base)
+    images = (hom.apply(Permutation(rep)).images for rep, _ in _class_seeds(hom.domain, caps=caps)[0])
+    return sum(1 << c for c, y in enumerate(images) if mask >> class_of[key(y)] & 1)
 
 
 def tower_ob_sequence(tower: Tower, n: int, caps: Caps = DEFAULT_CAPS):
@@ -161,22 +165,21 @@ def tower_ob_sequence(tower: Tower, n: int, caps: Caps = DEFAULT_CAPS):
     values = [ob_function(G, n, caps=caps) for G in tower.levels]
     stable = False
     if len(tower.levels) >= 2 and values[-1] == values[-2]:
-        deep = _oblique_of_small_normals(tower.levels[-1], n, caps=caps)
-        prev = _oblique_of_small_normals(tower.levels[-2], n, caps=caps)
-        stable = deep.same_group(tower.maps[-1].preimage_group(prev))
+        prev = _ob_core(tower.levels[-2], n, caps)
+        stable = _ob_core(tower.levels[-1], n, caps) == _preimage(tower.maps[-1], prev, caps)
     return values, stable
 
 
 def tower_fitting_sequence(tower: Tower, caps: Caps = DEFAULT_CAPS):
-    """Indices |G_i : F_i| where F_i cuts F(G_j) back through every map."""
+    """Indices |G_i : F_i| where F_i cuts F(G_j) back through every map. As
+    preimages commute with meets, F_i is F(G_i) meet the preimage of F_{i-1}."""
     indices = []
-    fittings = [fitting(G, caps=caps) for G in tower.levels]
     for i, G in enumerate(tower.levels):
-        F_approx = fittings[i]
-        for j in range(i):
-            pre = tower.projection(i, j).preimage_group(fittings[j])
-            F_approx = intersection(F_approx, pre, caps=caps)
-        indices.append(G.order // F_approx.order)
+        F = _fitting_mask(G, caps)
+        if i:
+            F &= _preimage(tower.maps[i - 1], F_prev, caps)
+        indices.append(G.order // _size(_class_seeds(G)[0], F))
+        F_prev = F
     return indices
 
 

@@ -273,7 +273,7 @@ def test_affine_constructions():
 
 
 def test_affine_rejects_singular_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"singular matrix over F_2: \[\[1, 1\], \[1, 1\]\]"):
         affine_semidirect(2, 2, [[[1, 1], [1, 1]]])
 
 

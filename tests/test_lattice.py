@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oblique.lattice
 from oblique import (
     CapExceeded,
     Caps,
     NotASubgroup,
     PermGroup,
     Permutation,
+    affine_semidirect,
     aut_group_small,
     c_invariant,
+    center,
     component_orbit_check,
     components,
     conjugacy_classes,
@@ -42,7 +45,7 @@ from oblique import (
 )
 from oblique.arith import digit_sum, prime_factors
 from oblique.lattice import _class_seeds, all_subgroups, phi_lhd_height, pgroup_rank
-from oblique.towers import fitting_degenerate_tower
+from oblique.towers import _permutation_matrices, fitting_degenerate_tower
 
 from conftest import brute_all_subgroups, brute_closure, brute_conjugacy_classes, brute_normal_subgroups
 
@@ -164,8 +167,8 @@ def test_lattice_of_random_groups_matches_brute_normal_subgroups(G):
     lat = normal_lattice(G)
     assert {m.element_set() for m in lat.members} == brute_normal_subgroups(G)
     sizes = [size for _, size in conjugacy_classes(G)]
-    for m in lat.members:
-        assert m.order == sum(size for i, size in enumerate(sizes) if lat._masks[m] >> i & 1)
+    for mask, m in zip(lat._orders, lat.members):
+        assert m.order == sum(size for i, size in enumerate(sizes) if mask >> i & 1)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -292,6 +295,93 @@ def test_components_examples():
     A5A5 = direct_product(PermGroup.alternating(5), PermGroup.alternating(5))
     assert sorted(c.order for c in components(A5A5)) == [60, 60]
     assert layer(A5A5).order == 3600
+
+
+def _reference_is_quasisimple(G):
+    """Perfect, and G/Z(G) simple, read off the quotient action."""
+    if G.order == 1 or derived_subgroup(G).order < G.order:
+        return False
+    Z = center(G)
+    return is_simple(G if Z.is_trivial() else quotient_action(G, Z)[0])
+
+
+def _reference_components(H, memo):
+    """Components by recursion into every proper nontrivial normal subgroup,
+    deduplicated by element set."""
+    key = H.element_set()
+    if key not in memo:
+        if H.order == 1 or is_soluble(H):
+            memo[key] = []
+        elif _reference_is_quasisimple(H):
+            memo[key] = [H]
+        else:
+            found = {}
+            for N in normal_lattice(H).members:
+                if N.order not in (1, H.order):
+                    for Q in _reference_components(N, memo):
+                        found.setdefault(Q.element_set(), Q)
+            memo[key] = list(found.values())
+    return memo[key]
+
+
+def _sl25():
+    """SL(2,5) on the 24 nonzero vectors of F_5^2."""
+    vectors = [(a, b) for a in range(5) for b in range(5) if (a, b) != (0, 0)]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def act(m):
+        images = [((m[0][0] * a + m[0][1] * b) % 5, (m[1][0] * a + m[1][1] * b) % 5) for a, b in vectors]
+        return Permutation(tuple(index[v] for v in images))
+
+    return PermGroup(24, [act([[1, 1], [0, 1]]), act([[0, 1], [4, 0]])])
+
+
+def test_components_and_quasisimplicity_match_the_references():
+    """SL(2,5) is quasisimple with a centre of order 2; 2^5:A5 is not soluble
+    and has no components; the two components of A5 wr S2 are not normal."""
+    A5 = PermGroup.alternating(5)
+    SL25 = _sl25()
+    assert SL25.order == 120 and center(SL25).order == 2
+    groups = {
+        "SL(2,5)": SL25,
+        "2^5:A5": affine_semidirect(2, 5, _permutation_matrices(A5, 2)),
+        "A5 wr S2": wreath_imprimitive(A5, 2, PermGroup.symmetric(2)),
+    }
+    expected = {"SL(2,5)": [120], "2^5:A5": [], "A5 wr S2": [60, 60]}
+    for name, G in groups.items():
+        got = components(G)
+        assert sorted(Q.order for Q in got) == expected[name], name
+        assert {Q.element_set() for Q in got} == {Q.element_set() for Q in _reference_components(G, {})}, name
+        for N in normal_lattice(G).members:
+            assert is_quasisimple(N) == _reference_is_quasisimple(N), name
+
+
+def test_components_of_sl25_times_a5():
+    SL25, A5 = _sl25(), PermGroup.alternating(5)
+    G = direct_product(SL25, A5)
+    shifted = [Permutation(tuple(range(24)) + tuple(24 + p for p in g.images)) for g in A5.generators]
+    factors = [PermGroup(29, [g.extended(29) for g in SL25.generators]), PermGroup(29, shifted)]
+    got = sorted(components(G), key=lambda Q: -Q.order)
+    assert len(got) == 2 and all(Q.same_group(F) for Q, F in zip(got, factors))
+    assert all(is_quasisimple(Q) for Q in got)
+
+
+def test_groups_are_built_only_on_demand(monkeypatch):
+    """Seeds, joins, meets and orders are read off class masks: ob needs no
+    group, and F(S4 x C3) = V4 x C3 is built once."""
+    calls = []
+    closure = oblique.lattice.normal_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(oblique.lattice, "normal_closure", counting)
+    A5A5 = direct_product(PermGroup.alternating(5), PermGroup.alternating(5))
+    assert [ob_function(A5A5, n) for n in (1, 59, 60, 3600)] == [1, 1, 3600, 3600]
+    assert calls == []
+    assert fitting(direct_product(PermGroup.symmetric(4), PermGroup.cyclic(3))).order == 12
+    assert len(calls) == 1
 
 
 def test_generalized_fitting_spot_values():

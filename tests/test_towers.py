@@ -2,17 +2,21 @@ import pytest
 
 from oblique import (
     CapExceeded,
+    Caps,
     PermGroup,
+    conjugacy_classes,
     cyclic_tower,
     fitting,
     fitting_degenerate_tower,
     ji_certificate,
+    normal_lattice,
     pi_core,
     tower_fitting_sequence,
     tower_ob_sequence,
     wreath_tower,
 )
 from oblique.arith import legendre_factorial_valuation
+from oblique.towers import _preimage
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +147,25 @@ def test_fitting_sequence_nilpotent_towers_are_flat():
 def test_fitting_sequence_degenerate_tower_grows():
     t = fitting_degenerate_tower((2, 3, 2), 3)
     assert tower_fitting_sequence(t) == [1, 2, 18]
+
+
+def test_fitting_sequence_checks_the_lattice_cap_on_each_level():
+    t = fitting_degenerate_tower((2, 3), 2)
+    with pytest.raises(CapExceeded) as err:
+        tower_fitting_sequence(t, caps=Caps(lattice=10))
+    assert err.value.cap_name == "lattice"
+    assert t.levels[-1]._seeds is None
+
+
+def test_preimage_masks_match_preimage_groups():
+    for t in (wreath_tower(2, 3), fitting_degenerate_tower((2, 3), 2), cyclic_tower(3, 3)):
+        for hom in t.maps:
+            reps = [rep for rep, _ in conjugacy_classes(hom.domain)]
+            lat = normal_lattice(hom.codomain)
+            for mask, N in zip(lat._orders, lat.members):
+                P = hom.preimage_group(N)
+                expected = sum(1 << i for i, rep in enumerate(reps) if P.contains(rep))
+                assert _preimage(hom, mask, Caps()) == expected, (t.family, N.order)
 
 
 # ---------------------------------------------------------------------------
