@@ -16,13 +16,14 @@ from .group import (
     NotASubgroup,
     PermGroup,
     _conjugation_walk,
+    _element_table,
     _generated,
     centralizer,
     normalizer,
     quotient_action,
     sylow,
 )
-from .lattice import all_subgroups, pi_core
+from .lattice import _bits, all_subgroups, pi_core
 from .perm import Permutation, _conj, _inverse
 
 
@@ -50,7 +51,8 @@ class FusionTable:
     ambient: PermGroup
     p: int
     sylow: PermGroup
-    subgroups: list  # every subgroup of sylow, deterministically ordered
+    subgroups: list  # every subgroup of sylow, by order, then by sorted elements
+    masks: list  # per subgroup: its mask over the sylow's element table
     s_classes: list  # SClass entries
     class_of_subgroup: dict  # subgroup id -> s-class id
     g_fusion: dict = field(default_factory=dict)  # (class i, class j) -> witness or None
@@ -76,31 +78,26 @@ class FusionTable:
         return [out[f] for f in sorted(out)]
 
 
-def _subgroup_key(H: PermGroup):
-    return (H.order, tuple(sorted(H.element_set())))
-
-
 def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> FusionTable:
-    """All subgroups of a Sylow p-subgroup, up to S-conjugacy."""
+    """All subgroups of a Sylow p-subgroup, up to S-conjugacy, sorted by their
+    masks over S's element table: by popcount, then set bits. As index order is
+    tuple order, that is by order, then sorted elements."""
     S = sylow(G, p, caps=caps)
-    subgroups = sorted(all_subgroups(S, caps=caps, cap_name="aut"), key=_subgroup_key)
-    by_set = {H.element_set(): i for i, H in enumerate(subgroups)}
+    found, table = all_subgroups(S, caps=caps, cap_name="aut"), _element_table(S)
+    ranked = sorted(zip(table.masks, found), key=lambda mH: (mH[0].bit_count(), tuple(_bits(mH[0]))))
+    masks, subgroups = [m for m, _ in ranked], [H for _, H in ranked]
+    by_mask = {m: i for i, m in enumerate(masks)}
     assigned = {}
     s_classes = []
     for i, H in enumerate(subgroups):
         if i in assigned:
             continue
         cid = len(s_classes)
-        witnesses = {by_set[k]: w for k, w in _conjugation_walk(S, H, caps=caps).items()}
+        witnesses = {by_mask[table.mask(k)]: w for k, w in _conjugation_walk(S, H, caps=caps).items()}
         assigned.update(dict.fromkeys(witnesses, cid))
         s_classes.append(SClass(rep_id=i, member_ids=sorted(witnesses), s_witnesses=witnesses))
     return FusionTable(
-        ambient=G,
-        p=p,
-        sylow=S,
-        subgroups=subgroups,
-        s_classes=s_classes,
-        class_of_subgroup=assigned,
+        ambient=G, p=p, sylow=S, subgroups=subgroups, masks=masks, s_classes=s_classes, class_of_subgroup=assigned
     )
 
 
@@ -117,14 +114,12 @@ def automizer(G: PermGroup, P: PermGroup, caps: Caps = DEFAULT_CAPS) -> Automize
 def _automizer(P: PermGroup, N: PermGroup, caps: Caps) -> Automizer:
     """The automizer of P, given N = N_G(P)."""
     order = N.order // centralizer(N, P, caps=caps).order
-    elems = sorted(P.element_tuples())
-    index = {t: i for i, t in enumerate(elems)}
-    npoints = max(len(elems), 1)
+    elems, index = _element_table(P).elements, _element_table(P).index
     perms = []
     for n in N.generators:
         n_inv = _inverse(n.images)
         perms.append(Permutation(tuple(index[_conj(t, n.images, n_inv)] for t in elems)))
-    action = _generated(npoints, [], perms, caps)
+    action = _generated(len(elems), [], perms, caps)
     if action.order != order:
         raise AssertionError("automizer action order mismatch")
     return Automizer(subgroup=P, order=order, action=action)
@@ -147,20 +142,13 @@ def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> Fus
                 if not reps[i].conjugated(w, caps=caps).same_group(reps[j]):
                     raise AssertionError("fusion witness failed verification")
                 table.g_fusion[(i, j)] = w
-    # union-find over direct witnesses (transitivity gives the full relation)
-    fid = list(range(k))
-
-    def find(a):
-        while fid[a] != a:
-            fid[a] = fid[fid[a]]
-            a = fid[a]
-        return a
-
-    for (i, j) in table.g_fusion:
-        fid[find(j)] = find(i)
-    roots = sorted({find(i) for i in range(k)})
-    renumber = {r: n for n, r in enumerate(roots)}
-    table.fusion_class_of = [renumber[find(i)] for i in range(k)]
+    # a walk finds every later representative fused with its start, so each
+    # one has a witness from the first representative of its fusion class
+    first = list(range(k))
+    for i, j in table.g_fusion:
+        first[j] = min(first[j], i)
+    renumber = {r: n for n, r in enumerate(sorted(set(first)))}
+    table.fusion_class_of = [renumber[r] for r in first]
     # fully normalized representative per fusion class: maximal |N_S(P)|,
     # which is |S| over the size of P's S-class (orbit-stabilizer)
     table.fully_normalized = []
@@ -214,13 +202,13 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
         table = fusion_table(G, p, caps=caps)
     if not table.completed:
         table = g_fusion(G, table, caps=caps)
-    subgroups = table.subgroups
-    by_set = {H.element_set(): i for i, H in enumerate(subgroups)}
+    subgroups, masks, s_table = table.subgroups, table.masks, _element_table(table.sylow)
+    by_mask = {m: i for i, m in enumerate(masks)}
     moves = {i: [] for i in range(len(subgroups))}  # source id -> LocalMoves
 
     def add_move(kind, element, src, fusion_class=-1, gen_index=-1):
-        g_inv = _inverse(element.images)
-        tgt = by_set[frozenset(_conj(t, element.images, g_inv) for t in subgroups[src].element_tuples())]
+        g, g_inv = element.images, _inverse(element.images)
+        tgt = by_mask[s_table.mask(_conj(s_table.elements[i], g, g_inv) for i in _bits(masks[src]))]
         moves[src].append(LocalMove(kind, element, src, tgt, fusion_class, gen_index))
 
     for cls in table.s_classes:
@@ -228,14 +216,13 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
             for g in table.sylow.generators:
                 add_move("s-conj", g, m)
     locals_sources = set(table.fully_normalized)
-    locals_sources.add(by_set[table.sylow.element_set()])
+    locals_sources.add(by_mask[(1 << table.sylow.order) - 1])
     for rid in sorted(locals_sources):
-        R = subgroups[rid]
         fcls = table.fusion_class_of[table.class_of_subgroup[rid]]
         N = table.ambient_normalizer(rid, caps=caps)
         for gi, n in enumerate(N.generators):
-            for qid, Q in enumerate(subgroups):
-                if Q.is_subgroup_of(R):
+            for qid, q in enumerate(masks):
+                if q & ~masks[rid] == 0:
                     add_move("automizer", n, qid, fusion_class=fcls, gen_index=gi)
     # closure: connected components under the moves (inverses exist, so the
     # directed reachability relation is symmetric on finite orbits), each
@@ -245,16 +232,13 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
         if start in comp:
             continue
         comp[start], paths[start] = start, []
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for mv in moves[i]:
-                    if mv.target_id not in comp:
-                        comp[mv.target_id] = start
-                        paths[mv.target_id] = paths[i] + [mv]
-                        nxt.append(mv.target_id)
-            frontier = nxt
+        queue = [start]
+        for i in queue:  # grows while it is read: breadth first
+            for mv in moves[i]:
+                if mv.target_id not in comp:
+                    comp[mv.target_id] = start
+                    paths[mv.target_id] = paths[i] + [mv]
+                    queue.append(mv.target_id)
     # local fusion equals G-fusion iff the two partitions of the ids coincide
     fusion_of = [table.fusion_class_of[table.class_of_subgroup[i]] for i in range(len(subgroups))]
     pairs = {(comp[i], fusion_of[i]) for i in range(len(subgroups))}
@@ -289,10 +273,7 @@ def p_prime_kernel_invariance(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     if K.is_trivial():
         return True
     Q, hom = quotient_action(G, K, caps=caps)
-    for cls in table.s_classes:
-        P = table.subgroups[cls.rep_id]
-        here = automizer(G, P, caps=caps).order
-        there = automizer(Q, hom.image_of_group(P), caps=caps).order
-        if here != there:
-            return False
-    return True
+    reps = (table.subgroups[cls.rep_id] for cls in table.s_classes)
+    return all(
+        automizer(G, P, caps=caps).order == automizer(Q, hom.image_of_group(P), caps=caps).order for P in reps
+    )

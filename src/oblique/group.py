@@ -198,7 +198,7 @@ class PermGroup:
         self._sympy = None
         self._lattice = None
         self._seeds = None
-        self._subgroups = None
+        self._table = None
 
     # -- constructions -----------------------------------------------------
 
@@ -285,9 +285,6 @@ class PermGroup:
             self.contains(x.conj(g)) for x in self.generators for g in other.generators
         )
 
-    def normalizes(self, other: "PermGroup") -> bool:
-        return all(other.contains(x.conj(g)) for x in other.generators for g in self.generators)
-
     def conjugated(self, g: Permutation, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
         return PermGroup(self.degree, [x.conj(g) for x in self.generators], caps=caps)
 
@@ -321,6 +318,28 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order}, gens={[str(g) for g in self.generators]})"
+
+
+class _ElementTable:
+    """A small group's elements, sorted, and their indices. A subgroup is an int
+    mask over them (bit i: it holds ``elements[i]``); index order is tuple order,
+    so bit 0 is the identity. ``masks`` and ``subgroups`` list every subgroup once
+    :func:`lattice.all_subgroups` has run. Nothing here refers back to the group."""
+
+    def __init__(self, G: PermGroup):
+        self.elements = sorted(G.element_tuples())
+        self.index = {t: i for i, t in enumerate(self.elements)}
+        self.masks = self.subgroups = None
+
+    def mask(self, tuples) -> int:
+        return sum(1 << self.index[t] for t in tuples)
+
+
+def _element_table(G: PermGroup) -> _ElementTable:
+    """G's element table, built once; callers check their own cap first."""
+    if G._table is None:
+        G._table = _ElementTable(G)
+    return G._table
 
 
 # ---------------------------------------------------------------------------
@@ -632,24 +651,21 @@ def _conjugation_walk(G: PermGroup, A: PermGroup, targets=None, caps: Caps = DEF
     missing = None if targets is None else set(targets) - {start}
     node_cap = max(1, caps.order_enum // max(1, A.order))
     gens = [(g, g.images, g.inv().images) for g in G.generators]
-    frontier = [start]
-    while frontier and (missing is None or missing):
-        nxt = []
-        for node in frontier:
-            w = witnesses[node]
-            for g, g_img, g_inv in gens:
-                image = frozenset(_conj(x, g_img, g_inv) for x in node)
-                if image in witnesses:
-                    continue
-                witnesses[image] = w * g
-                if missing is not None:
-                    missing.discard(image)
-                    if not missing:
-                        return witnesses
-                if len(witnesses) > node_cap:
-                    raise CapExceeded("order_enum", caps.order_enum, len(witnesses) * A.order)
-                nxt.append(image)
-        frontier = nxt
+    queue = [start] if missing is None or missing else []
+    for node in queue:  # grows while it is read: breadth first
+        w = witnesses[node]
+        for g, g_img, g_inv in gens:
+            image = frozenset(_conj(x, g_img, g_inv) for x in node)
+            if image in witnesses:
+                continue
+            witnesses[image] = w * g
+            if missing is not None:
+                missing.discard(image)
+                if not missing:
+                    return witnesses
+            if len(witnesses) > node_cap:
+                raise CapExceeded("order_enum", caps.order_enum, len(witnesses) * A.order)
+            queue.append(image)
     return witnesses
 
 

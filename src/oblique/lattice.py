@@ -18,6 +18,7 @@ from .group import (
     PermGroup,
     _class_table,
     _conjugation_walk,
+    _element_table,
     _generated,
     derived_series,
     derived_subgroup,
@@ -25,7 +26,7 @@ from .group import (
     normal_closure,
     sylow,
 )
-from .perm import Permutation, _compose
+from .perm import Permutation, _compose, _conj, _inverse
 
 
 class NormalLattice:
@@ -311,7 +312,9 @@ def generalized_fitting(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 
 def _fitting_product(F: PermGroup, E: PermGroup, caps: Caps) -> PermGroup:
-    """F*(G) from F = F(G) and E = E(G)."""
+    """F*(G) from F = F(G) and E = E(G); one of them when the other is trivial."""
+    if F.is_trivial() or E.is_trivial():
+        return E if F.is_trivial() else F
     return PermGroup(F.degree, F.generators + E.generators, caps=caps)
 
 
@@ -372,6 +375,8 @@ def oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
 
     The empty family has meet G, so Ob_G(G) = G.
     """
+    if not H.is_subgroup_of(G):
+        raise NotASubgroup("oblique_core requires H <= G")
     lat = normal_lattice(G, caps=caps)
     if H.is_normal_in(G):
         return lat.group(lat._oblique(lat._mask(H)))
@@ -380,42 +385,58 @@ def oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
 
 
 def all_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS, cap_name: str = "ob_star"):
-    """Every subgroup of G, by closing under one-generator extensions.
+    """Every subgroup of G, breadth first by one-generator extensions <H, e>
+    over e in ``G.element_tuples()`` order, each with the generators of its
+    first discovery. The list is computed once and cached on G's element
+    table; the cap is checked on every call.
 
-    The list is computed once and cached on G; the cap is checked on every call.
+    <H, e> is closed as a mask: the union of the right cosets Hx reached from
+    He by right multiplication with the generators. An e in a right coset He'
+    already tried is skipped, as <H, e> = <H, e'>.
     """
     caps.check(cap_name, G.order)
-    if G._subgroups is None:
-        elems = G.element_tuples()
-        trivial = PermGroup.trivial(G.degree, caps=caps)
-        found = {trivial.element_set(): trivial}
-        frontier = [trivial]
-        while frontier:
-            nxt = []
-            for H in frontier:
-                for e in elems:
-                    if H.chain.contains(e):
-                        continue
-                    K = PermGroup(G.degree, H.generators + (Permutation(e),), caps=caps)
-                    key = K.element_set()
-                    if key not in found:
-                        found[key] = K
-                        nxt.append(K)
-            frontier = nxt
-        G._subgroups = list(found.values())
-    return G._subgroups
+    table = _element_table(G)
+    if table.subgroups is None:
+        elems, index = table.elements, table.index
+        found, queue = {1: ()}, [1]  # found: mask -> generators, as element indices
+        for h in queue:  # grows while it is read: breadth first
+            members, gens, tried = [elems[i] for i in _bits(h)], [elems[i] for i in found[h]], h
+            for e in G.element_tuples():
+                if tried >> index[e] & 1:
+                    continue
+                he = sum(1 << index[_compose(m, e)] for m in members)
+                k, reps, k_gens, tried = h | he, [e], gens + [e], tried | he
+                for w in reps:  # grows while it is read
+                    for x in [_compose(w, g) for g in k_gens]:
+                        if not k >> index[x] & 1:
+                            k |= sum(1 << index[_compose(m, x)] for m in members)
+                            reps.append(x)
+                if k not in found:
+                    found[k] = found[h] + (index[e],)
+                    queue.append(k)
+        table.masks = list(found)
+        table.subgroups = [PermGroup(G.degree, [Permutation(elems[i]) for i in g], caps=caps) for g in found.values()]
+    return table.subgroups
 
 
 def strong_oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Ob*_G(H): H meet all H-normalized subgroups of G not contained in H."""
-    out = G
-    for K in all_subgroups(G, caps=caps):
-        if not H.normalizes(K):
-            continue
-        if K.is_subgroup_of(H):
-            continue
-        out = intersection(out, K, caps=caps)
-    return intersection(H, out, caps=caps)
+    """Ob*_G(H): H meet all H-normalized subgroups of G not contained in H.
+
+    On the masks of :func:`all_subgroups`: K lies in H when its mask does, H
+    normalizes K when the conjugates of K's generators by H's have their bits
+    in K's mask, and the meet is ``&``. The answer is built from the
+    generators stored with its mask.
+    """
+    if not H.is_subgroup_of(G):
+        raise NotASubgroup("strong_oblique_core requires H <= G")
+    subgroups, table = all_subgroups(G, caps=caps), _element_table(G)
+    h = out = table.mask(H.element_tuples())
+    conj = [(g.images, _inverse(g.images)) for g in H.generators]
+    for k, K in zip(table.masks, subgroups):
+        conjugates = (table.index[_conj(x.images, g, g_inv)] for x in K.generators for g, g_inv in conj)
+        if k & ~h and all(k >> i & 1 for i in conjugates):
+            out &= k
+    return PermGroup(G.degree, subgroups[table.masks.index(out)].generators, caps=caps)
 
 
 def ob_function(G: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -531,57 +552,39 @@ def _reduced_generators(G: PermGroup, caps: Caps = DEFAULT_CAPS):
 def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
     """Aut(G) by exhaustive generator-image search (small groups only)."""
     caps.check("aut", G.order)
-    elems = sorted(G.element_tuples())
-    n = len(elems)
-    index = {t: i for i, t in enumerate(elems)}
-    gens = _reduced_generators(G, caps)
-    if not gens:
-        action = PermGroup.trivial(1, caps=caps)
-        return AutGroup(G, [Permutation(t) for t in elems], [(0,) * 1 if n == 1 else tuple(range(n))], action)
-    gen_tuples = [g.images for g in gens]
-    # BFS word tree over the reduced generators
-    parent = {0: None}
-    gen_of = {}
-    order_bfs = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j, gt in enumerate(gen_tuples):
-                k = index[_compose(elems[i], gt)]
-                if k not in parent:
-                    parent[k] = i
-                    gen_of[k] = j
-                    order_bfs.append(k)
-                    nxt.append(k)
-        frontier = nxt
-    if len(order_bfs) != n:
+    table = _element_table(G)
+    elems, index, n = table.elements, table.index, len(table.elements)
+    gen_tuples = [g.images for g in _reduced_generators(G, caps)]
+    # the Cayley graph's edges (i, j, i g_j) from its nodes in breadth-first
+    # order, so that the first edge into a node spans a tree from the identity
+    bfs, seen = [0], {0}
+    for i in bfs:  # grows while it is read
+        for gt in gen_tuples:
+            k = index[_compose(elems[i], gt)]
+            if k not in seen:
+                seen.add(k)
+                bfs.append(k)
+    if len(bfs) != n:
         raise AssertionError("generator reduction lost the group")
-    mul = [[index[_compose(elems[i], gt)] for gt in gen_tuples] for i in range(n)]
+    edges = [(i, j, index[_compose(elems[i], gt)]) for i in bfs for j, gt in enumerate(gen_tuples)]
     orders = [Permutation(t).order() for t in elems]
-    candidates = [
-        [elems[i] for i in range(n) if orders[i] == Permutation(gt).order()] for gt in gen_tuples
-    ]
+    candidates = [[t for t, o in zip(elems, orders) if o == Permutation(gt).order()] for gt in gen_tuples]
     maps = []
     for images in itertools.product(*candidates):
-        phi = [None] * n
-        phi[0] = elems[0]
-        ok = True
-        for i in order_bfs[1:]:
-            phi[i] = _compose(phi[parent[i]], images[gen_of[i]])
-        if len(set(phi)) != n:
-            continue
-        for i in range(n):
-            for j in range(len(gen_tuples)):
-                if phi[mul[i][j]] != _compose(phi[i], images[j]):
-                    ok = False
-                    break
-            if not ok:
+        # phi is set along the tree edges and checked on all the others
+        phi = [elems[0]] + [None] * (n - 1)
+        for i, j, k in edges:
+            y = _compose(phi[i], images[j])
+            if phi[k] is None:
+                phi[k] = y
+            elif phi[k] != y:
                 break
-        if ok:
-            maps.append(tuple(index[t] for t in phi))
-    # as a permutation group on the nontrivial elements
-    action = _generated(max(n - 1, 1), [], (Permutation(tuple(v - 1 for v in m[1:])) for m in maps), caps)
+        else:
+            if len(set(phi)) == n:
+                maps.append(tuple(index[t] for t in phi))
+    # as a permutation group on the nontrivial elements (on one point if there are none)
+    perms = (Permutation(tuple(v - 1 for v in m[1:]) or (0,)) for m in maps)
+    action = _generated(max(n - 1, 1), [], perms, caps)
     if action.order != len(maps):
         raise AssertionError("automorphism action order mismatch")
     return AutGroup(G, [Permutation(t) for t in elems], maps, action)
@@ -606,8 +609,7 @@ def c_invariant(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
     if d > 8:
         raise ValueError(f"Frattini quotient rank {d} exceeds 8")
     aut = aut_group_small(S, caps=caps)
-    elems = [g.images for g in aut.elements]
-    index = {t: i for i, t in enumerate(elems)}
+    elems, index = _element_table(S).elements, _element_table(S).index
     # the generators of Aut(S) on element indices (index 0 is the identity)
     auts = [(0,) + tuple(v + 1 for v in a.images) for a in aut.action.generators]
 

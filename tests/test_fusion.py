@@ -15,6 +15,8 @@ from oblique import (
 )
 from oblique.arith import prime_factors
 
+from conftest import brute_all_subgroups
+
 
 def perm(text, degree=None):
     p = Permutation.parse(text)
@@ -45,26 +47,10 @@ def test_s4_subgroup_classes():
 
 
 def test_subgroup_enumeration_matches_brute_force():
-    G = PermGroup.symmetric(4)
-    table = subgroup_classes_of_sylow(G, 2)
-    S = table.sylow
-    elements = sorted(S.element_tuples())
-    ident = tuple(range(S.degree))
-    found = {frozenset([ident])}
-    frontier = [frozenset([ident])]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for x in elements:
-                if x in sub:
-                    continue
-                H = PermGroup(S.degree, [Permutation(t) for t in sub] + [Permutation(x)])
-                bigger = H.element_set()
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    assert {H.element_set() for H in table.subgroups} == found
+    for G in (PermGroup.symmetric(4), PermGroup.symmetric(6)):
+        table = subgroup_classes_of_sylow(G, 2)
+        assert {H.element_set() for H in table.subgroups} == brute_all_subgroups(table.sylow)
+    assert len(table.subgroups) == 35
 
 
 # ---------------------------------------------------------------------------

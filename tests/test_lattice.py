@@ -39,12 +39,13 @@ from oblique import (
     pi_core,
     pi_residual,
     quotient_action,
+    strong_oblique_core,
     sylow,
     tate_check,
     wreath_imprimitive,
 )
 from oblique.arith import digit_sum, prime_factors
-from oblique.lattice import _class_seeds, all_subgroups, phi_lhd_height, pgroup_rank
+from oblique.lattice import _class_seeds, _fitting_product, all_subgroups, phi_lhd_height, pgroup_rank
 from oblique.towers import _permutation_matrices, fitting_degenerate_tower
 
 from conftest import brute_all_subgroups, brute_closure, brute_conjugacy_classes, brute_normal_subgroups
@@ -389,6 +390,16 @@ def test_generalized_fitting_spot_values():
     assert generalized_fitting(PermGroup.symmetric(5)).order == 60
 
 
+def test_fitting_product_with_a_trivial_factor_is_the_other_factor():
+    # F*(C_n) = F(C_n): no second chain is built for the product
+    F, E = fitting(PermGroup.cyclic(12)), layer(PermGroup.cyclic(12))
+    assert E.is_trivial() and _fitting_product(F, E, Caps()) is F
+    A5 = PermGroup.alternating(5)
+    trivial = PermGroup.trivial(5)
+    assert _fitting_product(trivial, A5, Caps()) is A5
+    assert _fitting_product(F, PermGroup.trivial(12), Caps()) is F
+
+
 def test_simplicity_and_quasisimplicity():
     assert is_simple(PermGroup.alternating(5))
     assert not is_simple(PermGroup.symmetric(4))
@@ -601,6 +612,30 @@ def test_cached_subgroups_leave_no_reference_cycle():
     ref = weakref.ref(G)
     del G
     assert ref() is None
+
+
+def test_oblique_cores_reject_a_non_subgroup():
+    A4 = PermGroup.alternating(4)
+    H = PermGroup(4, [perm("(1 2)", 4)])
+    with pytest.raises(NotASubgroup):
+        oblique_core(A4, H)
+    with pytest.raises(NotASubgroup):
+        strong_oblique_core(A4, H)
+
+
+def test_strong_oblique_core_matches_subgroup_set_oracle():
+    # Ob*_G(H) = H n (meet of the K <= G normalized by H and not inside H),
+    # with every subgroup and every conjugation done on raw element sets
+    for G in (PermGroup.symmetric(4), PermGroup.dihedral(4), PermGroup.alternating(4)):
+        subgroups = brute_all_subgroups(G)
+        for h in subgroups:
+            expected = h
+            for k in subgroups:
+                conj = {_tuple_conj(x, g, _tuple_inverse(g)) for g in h for x in k}
+                if conj <= k and not k <= h:
+                    expected = expected & k
+            H = PermGroup(G.degree, [Permutation(t) for t in h])
+            assert strong_oblique_core(G, H).element_set() == expected, (G, sorted(h))
 
 
 def test_ob_star_cap_error_names_the_cap():
