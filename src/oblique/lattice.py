@@ -138,9 +138,9 @@ def _bits(mask):
         mask ^= low
 
 
-def _close(classes, class_of, mask, r, known):
-    """The smallest normal subgroup holding the classes in ``mask`` and r, as a
-    class mask. ``mask`` holds the identity class and r's class, and lies in
+def _close(classes, class_of, mask, r, known, order=None):
+    """The smallest normal subgroup N holding the classes in ``mask`` and r, as
+    a class mask. ``mask`` holds the identity class and r's class, and lies in
     M<r^G> for a normal subgroup M whose classes it holds (M = 1 for a seed).
 
     The union N of the classes reached from ``mask`` by a -> the classes of
@@ -148,8 +148,9 @@ def _close(classes, class_of, mask, r, known):
     every conjugate of r, and N = M<r^G> (Hulpke, "Computing normal subgroups",
     ISSAC 1998). k r needs only k's base images, its key: (k r)[b] = r[k[b]].
     Shortcuts: a union larger than |G|/q, for q the least prime dividing |G|,
-    closes to G; and if a class a is found whose known closure ``known[a]`` =
-    <a^G> holds ``mask``, then N = <a^G>.
+    closes to G; if a class a is found whose known closure ``known[a]`` =
+    <a^G> holds ``mask``, then N = <a^G>; and a caller that knows ``order`` =
+    |N| stops once the classes reached sum to it, as they all lie in N.
     """
     limit = len(class_of) // min(prime_factors(len(class_of)))
     start, todo = mask, list(_bits(mask))
@@ -165,6 +166,8 @@ def _close(classes, class_of, mask, r, known):
             size += len(classes[a][1])
             if size > limit:
                 return (1 << len(classes)) - 1
+            if size == order:
+                return mask
             todo.append(a)
     return mask
 
@@ -173,10 +176,11 @@ def _seed_join(G: PermGroup, keep, caps: Caps) -> int:
     """The join of the class seeds whose order passes ``keep``, as a class mask."""
     caps.check("lattice", G.order)
     classes, seeds, class_of, masks = _class_seeds(G, caps=caps)
-    out = 1
+    out, order = 1, 1
     for c, seed in enumerate(masks):
         if not out >> c & 1 and keep(seeds[seed]):
-            out = _close(classes, class_of, out | 1 << c, classes[c][0], masks)
+            order = order * seeds[seed] // _size(classes, out & seed)  # |AB| = |A||B| / |A n B|
+            out = _close(classes, class_of, out | 1 << c, classes[c][0], masks, order)
     return out
 
 
@@ -202,24 +206,21 @@ def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
         # top is a copy of G: a cycle G -> G._lattice -> G would outlive G until a full gc
         top = PermGroup(G.degree, G.generators, caps=caps)
         top._chain, top._seeds = G.chain, G._seeds
-        orders = {1: 1, (1 << len(classes)) - 1: G.order, **seeds}
-        # every member is a join of seeds, so join each member with each seed;
-        # a join depends only on the masks' union
-        reps = {s: classes[masks.index(s)][0] for s in seeds}  # seed s = <r^G>
-        known = set(orders)  # unions whose join has been found
-        frontier = list(orders)
-        while frontier:
-            new = []
-            for a in frontier:
-                for s, r in reps.items():
-                    if a | s in known:
-                        continue
-                    mask = _close(classes, class_of, a | s, r, masks)
-                    known.update((a | s, mask))
-                    if mask not in orders:
-                        orders[mask] = _size(classes, mask)
-                        new.append(mask)
-            frontier = new
+        # every member is a join of seeds: after the pass over seed s = <r^G>
+        # the members hold every join of s with the seeds before it. A member
+        # of order |AS| = |A||S| / |A n S| that holds A and S is AS, so only a
+        # new member is closed
+        members = {}  # {order: masks}
+        for m, order in {1: 1, (1 << len(classes)) - 1: G.order, **seeds}.items():
+            members.setdefault(order, []).append(m)
+        for s, s_order in seeds.items():
+            r = classes[masks.index(s)][0]
+            for a, a_order in [(a, order) for order, found in members.items() for a in found]:
+                order = a_order * s_order // _size(classes, a & s)
+                same = members.setdefault(order, [])
+                if not any((a | s) & ~m == 0 for m in same):
+                    same.append(_close(classes, class_of, a | s, r, masks, order))
+        orders = {m: order for order, found in members.items() for m in found}
         G._lattice = NormalLattice(top, orders, caps)
     return G._lattice
 
@@ -258,14 +259,14 @@ def is_simple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 def is_quasisimple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Perfect with simple central quotient: Z(G), the union of the one-element
-    classes, is proper, and Z(G)<c^G> = G for every class c outside it."""
+    """Perfect with simple central quotient. For a nontrivial perfect G, G/Z(G)
+    is simple iff <c^G> = G for every class c outside Z(G), the union of the
+    one-element classes: then Z(G)<c^G> = G, and G/<c^G>, a quotient of the
+    abelian Z(G), is trivial as G is perfect."""
     if G.order == 1 or derived_subgroup(G, caps=caps).order < G.order:
         return False
-    classes, _, class_of, masks = _class_seeds(G, caps=caps)
-    z = sum(1 << c for c, (_, keys) in enumerate(classes) if len(keys) == 1)
-    full = (1 << len(classes)) - 1
-    return all(_close(classes, class_of, z | 1 << c, classes[c][0], masks) == full for c in _bits(full & ~z))
+    classes, seeds, _, masks = _class_seeds(G, caps=caps)
+    return all(seeds[masks[c]] == G.order for c, (_, keys) in enumerate(classes) if len(keys) > 1)
 
 
 def components(G: PermGroup, caps: Caps = DEFAULT_CAPS):
@@ -500,20 +501,15 @@ def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
     S = sylow(K, p, caps=caps)
     s_elems = S.element_set()
 
-    def inter_s(H: PermGroup):
-        return frozenset(e for e in s_elems if H.chain.contains(e))
+    def sides(H: PermGroup):
+        """H', H'H^p, H'O^p(H) and O^p(H), each met with S."""
+        dH, opH = derived_subgroup(H, caps=caps), pi_residual(H, {p}, caps=caps)
+        mixed = PermGroup(H.degree, dH.generators + opH.generators, caps=caps)
+        groups = (dH, _derived_agemo(H, p, caps=caps), mixed, opH)
+        return [frozenset(e for e in s_elems if X.chain.contains(e)) for X in groups]
 
-    dG, dK = derived_subgroup(G, caps=caps), derived_subgroup(K, caps=caps)
-    opG, opK = pi_residual(G, {p}, caps=caps), pi_residual(K, {p}, caps=caps)
-    agG, agK = _derived_agemo(G, p, caps=caps), _derived_agemo(K, p, caps=caps)
-    mixG = PermGroup(G.degree, dG.generators + opG.generators, caps=caps)
-    mixK = PermGroup(K.degree, dK.generators + opK.generators, caps=caps)
-    return TateCheck(
-        derived=inter_s(dG) == inter_s(dK),
-        frattini_quotient=inter_s(agG) == inter_s(agK),
-        mixed=inter_s(mixG) == inter_s(mixK),
-        p_residual=inter_s(opG) == inter_s(opK),
-    )
+    g_sides = sides(G)
+    return TateCheck(*(a == b for a, b in zip(g_sides, g_sides if K is G else sides(K))))
 
 
 def is_p_prime_normal(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -531,8 +527,8 @@ class AutGroup:
     """All automorphisms of a small group.
 
     ``elements`` lists the group's elements in sorted order; each entry of
-    ``maps`` is an automorphism as a permutation of element indices.
-    ``action`` is the same data as a PermGroup on the nontrivial elements.
+    ``maps`` is an automorphism as a permutation of element indices, and
+    ``action`` is the group they generate (index 0, the identity, is fixed).
     """
 
     group: PermGroup
@@ -582,9 +578,7 @@ def aut_group_small(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> AutGroup:
         else:
             if len(set(phi)) == n:
                 maps.append(tuple(index[t] for t in phi))
-    # as a permutation group on the nontrivial elements (on one point if there are none)
-    perms = (Permutation(tuple(v - 1 for v in m[1:]) or (0,)) for m in maps)
-    action = _generated(max(n - 1, 1), [], perms, caps)
+    action = _generated(n, [], (Permutation(m) for m in maps), caps)
     if action.order != len(maps):
         raise AssertionError("automorphism action order mismatch")
     return AutGroup(G, [Permutation(t) for t in elems], maps, action)
@@ -610,8 +604,7 @@ def c_invariant(S: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
         raise ValueError(f"Frattini quotient rank {d} exceeds 8")
     aut = aut_group_small(S, caps=caps)
     elems, index = _element_table(S).elements, _element_table(S).index
-    # the generators of Aut(S) on element indices (index 0 is the identity)
-    auts = [(0,) + tuple(v + 1 for v in a.images) for a in aut.action.generators]
+    auts = [a.images for a in aut.action.generators]
 
     def cosets(H, y):
         """H y^k for 0 < k < p, as element indices."""

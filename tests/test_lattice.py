@@ -43,6 +43,7 @@ from oblique import (
     sylow,
     tate_check,
     wreath_imprimitive,
+    wreath_tower,
 )
 from oblique.arith import digit_sum, prime_factors
 from oblique.lattice import _class_seeds, _fitting_product, all_subgroups, phi_lhd_height, pgroup_rank
@@ -228,6 +229,61 @@ def test_lattice_finds_joins_of_three_seeds():
 def test_cyclic_lattice_orders_are_the_divisors():
     n = 120
     assert sorted(normal_lattice(PermGroup.cyclic(n)).orders()) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _counting_close(monkeypatch):
+    """Patch lattice._close to record what each call returns."""
+    returned, close = [], oblique.lattice._close
+
+    def counting(*args, **kwargs):
+        returned.append(close(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(oblique.lattice, "_close", counting)
+    return returned
+
+
+def test_lattice_closes_only_new_members(monkeypatch):
+    """A join whose order, |A||S|/|A n S|, is that of a known member holding
+    A and S is that member; every other join is closed once, as a new member."""
+    top = wreath_tower(2, 3).levels[-1]
+    classes, seeds = _class_seeds(top)[:2]
+    returned = _counting_close(monkeypatch)
+    lat = normal_lattice(top)
+    assert len(lat) == 28
+    old = {1, (1 << len(classes)) - 1, *seeds}
+    assert len(returned) == len(set(returned)) == len(lat) - len(old)
+    assert set(returned) == set(lat._orders) - old
+
+
+def test_order_stop_closes_to_the_same_mask(corpus):
+    for name, G in corpus.items():
+        classes, seeds, class_of, masks = _class_seeds(G)
+        for a, a_order in normal_lattice(G)._orders.items():
+            for s, s_order in seeds.items():
+                r = classes[masks.index(s)][0]
+                meet = sum(len(keys) for i, (_, keys) in enumerate(classes) if a & s >> i & 1)
+                order = a_order * s_order // meet
+                closed = oblique.lattice._close(classes, class_of, a | s, r, masks)
+                assert oblique.lattice._close(classes, class_of, a | s, r, masks, order) == closed, name
+
+
+def test_is_quasisimple_matches_the_reference_and_closes_nothing(corpus, monkeypatch):
+    for name, G in corpus.items():
+        members = normal_lattice(G).members
+        for N in members:
+            _class_seeds(N)
+        returned = _counting_close(monkeypatch)
+        got = [is_quasisimple(N) for N in members]
+        assert returned == [], name
+        monkeypatch.undo()
+        assert got == [_reference_is_quasisimple(N) for N in members], name
+
+
+def test_lattice_of_the_order_32768_wreath_level():
+    # 71 seeds and 228 members, 155 of them closed; closing every member with
+    # every seed took 8544 closures
+    assert len(normal_lattice(wreath_tower(2, 4).levels[-1])) == 228
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +716,20 @@ def test_tate_examples():
     assert rec.as_tuple() == (True, True, True, True)
 
 
+def test_tate_with_k_equal_to_g_computes_one_side(monkeypatch):
+    calls = []
+    residual = oblique.lattice.pi_residual
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(oblique.lattice, "pi_residual", counting)
+    S4 = PermGroup.symmetric(4)
+    assert tate_check(S4, S4, 3).as_tuple() == (True, True, True, True)
+    assert calls == [S4]
+
+
 def test_tate_requires_full_sylow():
     S4 = PermGroup.symmetric(4)
     with pytest.raises(NotASubgroup):
@@ -693,6 +763,15 @@ def test_aut_orders():
     assert aut_group_small(V4).order == 6
     E9 = direct_product(PermGroup.cyclic(3), PermGroup.cyclic(3))
     assert aut_group_small(E9).order == 48  # |GL(2,3)|
+
+
+def test_aut_action_acts_on_every_element_index():
+    C3 = PermGroup.cyclic(3)
+    for G in (PermGroup.dihedral(4), direct_product(C3, C3), PermGroup.trivial(1)):
+        aut = aut_group_small(G)
+        assert aut.action.degree == len(aut.elements)
+        assert aut.action.order == aut.order
+        assert all(a.images[0] == 0 for a in aut.action.generators)
 
 
 def test_aut_maps_are_automorphisms():
