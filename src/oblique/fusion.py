@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 from .arith import p_valuation, prime_factors
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
+    _BRUTE_SEARCH_LIMIT,
     NotASubgroup,
     PermGroup,
     _conjugation_walk,
     _element_table,
     _generated,
+    _orbit_normalizer,
     centralizer,
     normalizer,
     quotient_action,
@@ -63,7 +65,8 @@ class FusionTable:
     _normalizers: dict = field(default_factory=dict, init=False, repr=False)  # subgroup id -> N_G(P)
 
     def ambient_normalizer(self, sid: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-        """N_G(P) for the subgroup with id ``sid``, computed once per table."""
+        """N_G(P) for the subgroup with id ``sid``, computed once per table
+        (:func:`g_fusion` stores those it reads off its walks)."""
         if sid not in self._normalizers:
             self._normalizers[sid] = normalizer(self.ambient, self.subgroups[sid], caps=caps)
         return self._normalizers[sid]
@@ -127,19 +130,33 @@ def _automizer(P: PermGroup, N: PermGroup, caps: Caps) -> Automizer:
 
 def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> FusionTable:
     """Complete a skeleton: fusion witnesses, fully normalized representatives,
-    and automizers."""
+    and automizers.
+
+    For G of at most ``_BRUTE_SEARCH_LIMIT`` elements, one full conjugation
+    walk from each nontrivial S-class representative P gives both its
+    witnesses to the later representatives it is fused with and N_G(P), by
+    orbit-stabilizer; the walk is dropped once both are taken. Above the
+    limit N_G(P) comes from sympy, and the walk stops once it has found the
+    later representatives of P's order.
+    """
     reps = [table.subgroups[c.rep_id] for c in table.s_classes]
     sets = [H.element_set() for H in reps]
+    small = G.order <= _BRUTE_SEARCH_LIMIT
     k = len(reps)
-    for i in range(k):
-        later = [j for j in range(i + 1, k) if reps[j].order == reps[i].order]
-        if not later:
+    for i, H in enumerate(reps):
+        if H.is_trivial():  # the only subgroup of its order, and N_G(1) = G
             continue
-        walked = _conjugation_walk(G, reps[i], [sets[j] for j in later], caps=caps)
+        later = [j for j in range(i + 1, k) if reps[j].order == H.order]
+        if small:
+            walked, table._normalizers[table.s_classes[i].rep_id] = _orbit_normalizer(G, H, caps)
+        elif later:
+            walked = _conjugation_walk(G, H, [sets[j] for j in later], caps=caps)
+        else:
+            continue
         for j in later:
             w = walked.get(sets[j])
             if w is not None:
-                if not reps[i].conjugated(w, caps=caps).same_group(reps[j]):
+                if not H.conjugated(w, caps=caps).same_group(reps[j]):
                     raise AssertionError("fusion witness failed verification")
                 table.g_fusion[(i, j)] = w
     # a walk finds every later representative fused with its start, so each

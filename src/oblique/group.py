@@ -3,13 +3,18 @@
 The chain (Schreier-Sims) certifies order and membership; base points are
 always the first moved point not yet fixed, so construction is deterministic
 for identical input. Centralizers, normalizers and Sylow subgroups of
-groups of order at most ``_BRUTE_SEARCH_LIMIT`` are computed here from the
-element list: centralizers, normalizers and intersections are filters over
-the image tuples of the element list (:func:`_subgroup_where`), which grow
-one chain from the elements that pass. Above the limit they are delegated to
-sympy.combinatorics's backtrack searches through :func:`_backend`, with
-sympy's random generator seeded to a fixed value so that its answers repeat
-from run to run. sympy is imported only then.
+groups of order at most ``_BRUTE_SEARCH_LIMIT`` are computed here.
+Centralizers, normalizers and intersections end in one element filter
+(:func:`_subgroup_where`): the elements of G's element list that pass, in
+that order, grow one chain, so the generators depend only on that list.
+Centralizers and intersections test each element directly. A normalizer
+N_G(H) is found first by orbit-stabilizer on the breadth-first walk over
+H's conjugates (:func:`_conjugation_walk`, :func:`_orbit_normalizer`), and
+the filter only looks elements up in N's element set. Sylow subgroups are
+grown from the p-elements (:func:`_grow_sylow`). Above the limit all three
+are delegated to sympy.combinatorics's backtrack searches through
+:func:`_backend`, with sympy's random generator seeded to a fixed value so
+that its answers repeat from run to run. sympy is imported only then.
 
 Subgroups always live in the ambient degree of their parent; nothing is
 re-indexed.
@@ -483,20 +488,18 @@ def center(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 
 def normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """N_G(H); requires H <= G."""
+    """N_G(H); requires H <= G.
+
+    At or below ``_BRUTE_SEARCH_LIMIT`` elements it is read off the G-orbit of
+    H by :func:`_orbit_normalizer`; above, sympy's backtrack search finds it.
+    """
     if not H.is_subgroup_of(G):
         raise NotASubgroup("normalizer requires H <= G")
     if H.is_trivial():
         return G
-    hgens = [g.images for g in H.generators]
     if G.order <= _BRUTE_SEARCH_LIMIT:
-        members = H.element_set()
-
-        def normalizes(e):
-            e_inv = _inverse(e)
-            return all(_conj(x, e, e_inv) in members for x in hgens)
-
-        return _subgroup_where(G, normalizes, caps)
+        return _orbit_normalizer(G, H, caps)[1]
+    hgens = [g.images for g in H.generators]
     sG = G.to_sympy()
     chain = H.chain
 
@@ -507,6 +510,36 @@ def normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
         return all(chain.contains(_conj(x, arr, arr_inv)) for x in hgens)
 
     return G._from_sympy(_backend(sG, "subgroup_search", prop), caps)
+
+
+def _orbit_normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS):
+    """The full conjugation walk of a nontrivial H <= G, and N_G(H) read off
+    it, for G of at most ``_BRUTE_SEARCH_LIMIT`` elements.
+
+    N_G(H) is the stabilizer of H's element set in G's action on the orbit,
+    so |N| = |G| / |orbit|, and for the walk's witnesses w the Schreier
+    elements w_K g w_{K^g}^-1 of the edges K -> K^g generate it (Schreier's
+    lemma; Seress, *Permutation Group Algorithms*, 2003, sec. 4.1). The tree
+    edges give the identity, so one chain, seeded with H's generators, takes
+    the non-tree edges in walk order until it has order |N|. The answer is
+    then the elements of ``G.element_tuples()`` in N's element set, through
+    :func:`_subgroup_where`, so its element list and generators are those of
+    the element filter. Returns ``(walk, N)``, the walk as
+    :func:`_conjugation_walk` gives it.
+    """
+    caps.check("order_enum", G.order)
+    edges = []
+    walked = _conjugation_walk(G, H, caps=caps, edges=edges)
+    order = G.order // len(walked)
+    chain = StabilizerChain(G.degree, [h.images for h in H.generators])
+    for w, g, image in edges:
+        if chain.order == order:
+            break
+        chain.extend(_compose(_compose(w.images, g), _inverse(walked[image].images)))
+    if chain.order != order:
+        raise AssertionError("Schreier elements do not generate the stabilizer")
+    members = frozenset(chain.element_tuples())
+    return walked, _subgroup_where(G, members.__contains__, caps)
 
 
 def sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -636,14 +669,16 @@ def conjugating_element(G: PermGroup, A: PermGroup, B: PermGroup, caps: Caps = D
     return _conjugation_walk(G, A, [target], caps).get(target)
 
 
-def _conjugation_walk(G: PermGroup, A: PermGroup, targets=None, caps: Caps = DEFAULT_CAPS) -> dict:
+def _conjugation_walk(G: PermGroup, A: PermGroup, targets=None, caps: Caps = DEFAULT_CAPS, edges=None) -> dict:
     """``{element set of A^g: g}`` over the G-orbit of A under conjugation.
 
     One breadth-first walk from A's element set, conjugating by G's
     generators in order; each g is the product along the path that first
     reached its key, so it does not depend on ``targets``. The walk stops
     once every element set in ``targets`` is a key; with no targets it
-    covers the whole orbit.
+    covers the whole orbit. If ``edges`` is a list, each step that reaches a
+    key already found is appended to it as (witness of the node, generator
+    images, key reached), in walk order.
     """
     caps.check("order_enum", A.order)
     start = A.element_set()
@@ -657,6 +692,8 @@ def _conjugation_walk(G: PermGroup, A: PermGroup, targets=None, caps: Caps = DEF
         for g, g_img, g_inv in gens:
             image = frozenset(_conj(x, g_img, g_inv) for x in node)
             if image in witnesses:
+                if edges is not None:
+                    edges.append((w, g_img, image))
                 continue
             witnesses[image] = w * g
             if missing is not None:

@@ -13,6 +13,8 @@ from oblique import (
     sylow,
     wreath_imprimitive,
 )
+from oblique import group
+from oblique import fusion as fusion_module
 from oblique.arith import prime_factors
 
 from conftest import brute_all_subgroups
@@ -115,6 +117,36 @@ def test_a6_fusion_matches_brute_conjugation():
                 _conjugate_set(source, g) == target for g in group_elements
             )
             assert table.fused(i, j) == brute_fused, (i, j)
+
+
+def test_one_g_walk_per_representative_serves_fusion_and_normalizers(monkeypatch):
+    G = PermGroup.symmetric(6)
+    walks, enumerated = [], []
+    walk, element_tuples = group._conjugation_walk, group.StabilizerChain.element_tuples
+
+    def counting_walk(ambient, A, *args, **kwargs):
+        if ambient is G:
+            walks.append(A.element_set())
+        return walk(ambient, A, *args, **kwargs)
+
+    def counting_element_tuples(chain):
+        out = element_tuples(chain)
+        enumerated.append(len(out))
+        return out
+
+    monkeypatch.setattr(group, "_conjugation_walk", counting_walk)
+    monkeypatch.setattr(fusion_module, "_conjugation_walk", counting_walk)
+    monkeypatch.setattr(group.StabilizerChain, "element_tuples", counting_element_tuples)
+    table = fusion_table(G, 2)
+    ok, _, table = alperin_closure_check(G, 2, table=table)
+    assert ok
+    reps = [table.subgroups[c.rep_id] for c in table.s_classes]
+    assert len(walks) == len(set(walks)) == len(reps) - 1 == 26
+    assert set(walks) == {P.element_set() for P in reps if not P.is_trivial()}
+    # the normalizers filter G's one cached element list, and nothing else
+    # enumerates as many elements
+    assert enumerated.count(G.order) == 1 and max(enumerated) == G.order
+    assert G._table is None
 
 
 # ---------------------------------------------------------------------------

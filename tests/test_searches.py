@@ -1,10 +1,12 @@
 """Centralizers, normalizers, intersections and conjugation walks against the
 raw-tuple oracles.
 
-Groups of order at most 5000 are searched by filtering their element list.
-Besides the element set, each answer's generators must be the greedy
-sequence over ``G.element_tuples()``: every passing element that is not
-generated by the ones kept before it. Report bytes depend on that sequence.
+Groups of order at most 5000 are searched by filtering their element list
+(a normalizer is found on the conjugation walk first, and the filter looks
+elements up in it). Besides the element set, each answer's generators must
+be the greedy sequence over ``G.element_tuples()``: every passing element
+that is not generated by the ones kept before it. Report bytes depend on
+that sequence.
 Hypothesis draws groups on at most 7 points; ``derandomize=True`` makes every
 run draw the same examples.
 """
@@ -25,9 +27,10 @@ from oblique import (
     normalizer,
     sylow,
 )
+from oblique import group
 from oblique.group import _conjugation_walk
 
-from conftest import _compose, brute_closure
+from conftest import _compose, brute_all_subgroups, brute_closure
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -102,7 +105,31 @@ def test_searches_match_set_oracles_on_corpus(corpus):
         if G.order > 720:
             continue
         for p in (2, 3):
-            check_searches(G, sylow(G, p), G.generators[0].images)
+            S = sylow(G, p)
+            check_searches(G, S, G.generators[0].images)
+            # every subgroup Q of S: small Qs have long G-orbits, and many
+            # have N_G(Q) > Q
+            for q_elems in brute_all_subgroups(S):
+                q_gens = greedy_generators(G.degree, sorted(q_elems))
+                Q = PermGroup(G.degree, [Permutation(q) for q in q_gens])
+                if Q.is_trivial():
+                    assert normalizer(G, Q) is G
+                    continue
+                assert_filtered(normalizer(G, Q), G, lambda e: all(_conj(q, e) in q_elems for q in q_gens))
+
+
+def test_normalizer_checks_the_enumeration_cap_before_walking(monkeypatch):
+    G = PermGroup.symmetric(6)
+    H = PermGroup(6, [Permutation.parse("(1 2)", 6)])
+    walks = []
+    monkeypatch.setattr(group, "_conjugation_walk", lambda *args, **kwargs: walks.append(args))
+    try:
+        normalizer(G, H, Caps(order_enum=719))
+    except CapExceeded as err:
+        assert str(err) == "cap order_enum=719 exceeded (needed 720)"
+    else:
+        raise AssertionError("no CapExceeded")
+    assert walks == []
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,12 @@ def test_exit_code_2_on_cap():
     assert "degree" in diag["message"]
 
 
+def test_exit_code_2_on_order_cap_before_fusion_walks():
+    code, out, err = run_cli("fusion", "sym(6)", "--p", "2", "--cap-order", "500")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "cap", "message": "cap order_enum=500 exceeded (needed 720)"}
+
+
 def test_exit_code_1_on_cap_below_one():
     for flag, value in (("--cap-lattice", "-5"), ("--cap-order", "0"), ("--cap-aut", "-1")):
         code, out, err = run_cli("invariants", "sym(4)", flag, value)
