@@ -223,24 +223,31 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
     by_mask = {m: i for i, m in enumerate(masks)}
     moves = {i: [] for i in range(len(subgroups))}  # source id -> LocalMoves
 
-    def add_move(kind, element, src, fusion_class=-1, gen_index=-1):
+    def induced(element, mask):
+        """The conjugation by ``element`` on the table indices of mask's bits."""
         g, g_inv = element.images, _inverse(element.images)
-        tgt = by_mask[s_table.mask(_conj(s_table.elements[i], g, g_inv) for i in _bits(masks[src]))]
+        return {i: s_table.index[_conj(s_table.elements[i], g, g_inv)] for i in _bits(mask)}
+
+    def add_move(kind, element, perm, src, fusion_class=-1, gen_index=-1):
+        tgt = by_mask[sum(1 << perm[i] for i in _bits(masks[src]))]
         moves[src].append(LocalMove(kind, element, src, tgt, fusion_class, gen_index))
 
+    full = (1 << table.sylow.order) - 1
+    s_perms = [(g, induced(g, full)) for g in table.sylow.generators]
     for cls in table.s_classes:
         for m in cls.member_ids:
-            for g in table.sylow.generators:
-                add_move("s-conj", g, m)
+            for g, perm in s_perms:
+                add_move("s-conj", g, perm, m)
     locals_sources = set(table.fully_normalized)
-    locals_sources.add(by_mask[(1 << table.sylow.order) - 1])
+    locals_sources.add(by_mask[full])
     for rid in sorted(locals_sources):
         fcls = table.fusion_class_of[table.class_of_subgroup[rid]]
         N = table.ambient_normalizer(rid, caps=caps)
         for gi, n in enumerate(N.generators):
+            perm = induced(n, masks[rid])
             for qid, q in enumerate(masks):
                 if q & ~masks[rid] == 0:
-                    add_move("automizer", n, qid, fusion_class=fcls, gen_index=gi)
+                    add_move("automizer", n, perm, qid, fusion_class=fcls, gen_index=gi)
     # closure: connected components under the moves (inverses exist, so the
     # directed reachability relation is symmetric on finite orbits), each
     # walked from its lowest id; paths[i] holds the moves from there to i

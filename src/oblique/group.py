@@ -16,12 +16,25 @@ are delegated to sympy.combinatorics's backtrack searches through
 :func:`_backend`, with sympy's random generator seeded to a fixed value so
 that its answers repeat from run to run. sympy is imported only then.
 
+Conjugation walks (the orbit of a subgroup under G, which fusion, the
+automizers and the normalizers read) step on element indices, not image
+tuples. Each group caches one :class:`_ConjugationMemo`, which numbers the
+elements the walks meet and records, per generator, the index of each
+element's conjugate the first time a walk needs it; a walk node is a
+frozenset of indices, so each step is one list lookup per element. The memo
+never enumerates G, so it serves groups above the limit too. Witnesses are
+parent pointers, multiplied out into a permutation only when read, in the
+order the walk stepped (Seress, *Permutation Group Algorithms*, 2003,
+sec. 4.1; Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, sec. 4.1).
+
 Subgroups always live in the ambient degree of their parent; nothing is
 re-indexed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from operator import itemgetter
 
 from .arith import is_prime, p_part, p_valuation
@@ -204,6 +217,7 @@ class PermGroup:
         self._lattice = None
         self._seeds = None
         self._table = None
+        self._memo = None
 
     # -- constructions -----------------------------------------------------
 
@@ -345,6 +359,52 @@ def _element_table(G: PermGroup) -> _ElementTable:
     if G._table is None:
         G._table = _ElementTable(G)
     return G._table
+
+
+class _ConjugationMemo:
+    """G's conjugation action on element indices, filled as walks reach it.
+
+    An image tuple gets an index the first time a walk sees it: ``elements[i]``
+    is the tuple, ``index`` maps it back. ``columns[k][i]`` is the index of
+    elements[i]^g for G's k-th generator g, or None until a walk first needs
+    it, so each (element, generator) pair is conjugated at most once, and the
+    memo never enumerates G. It keeps only generator and element tuples: it
+    refers neither to G nor, through its lists, to itself.
+    """
+
+    def __init__(self, G: PermGroup):
+        self.gens = [(g.images, _inverse(g.images)) for g in G.generators]
+        self.elements = []
+        self.index = {}
+        self.columns = [[] for _ in self.gens]
+
+    def id(self, x) -> int:
+        i = self.index.get(x)
+        if i is None:
+            i = self.index[x] = len(self.elements)
+            self.elements.append(x)
+            for col in self.columns:
+                col.append(None)
+        return i
+
+    def node(self, tuples) -> frozenset:
+        return frozenset(map(self.id, tuples))
+
+    def image(self, k, node) -> frozenset:
+        """The node conjugated by generator k, filling the column entries it lacks."""
+        col = self.columns[k]
+        g, g_inv = self.gens[k]
+        for i in node:
+            if col[i] is None:
+                col[i] = self.id(_conj(self.elements[i], g, g_inv))
+        return frozenset(map(col.__getitem__, node))
+
+
+def _conjugation_memo(G: PermGroup) -> _ConjugationMemo:
+    """G's conjugation memo, shared by every walk over G."""
+    if G._memo is None:
+        G._memo = _ConjugationMemo(G)
+    return G._memo
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +581,10 @@ def _orbit_normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS):
     elements w_K g w_{K^g}^-1 of the edges K -> K^g generate it (Schreier's
     lemma; Seress, *Permutation Group Algorithms*, 2003, sec. 4.1). The tree
     edges give the identity, so one chain, seeded with H's generators, takes
-    the non-tree edges in walk order until it has order |N|. The answer is
-    then the elements of ``G.element_tuples()`` in N's element set, through
+    the walk's non-tree edges, as (node id, generator index, node id), in
+    walk order until it has order |N|; only the witnesses of the edges it
+    takes are formed. The answer is then the elements of
+    ``G.element_tuples()`` in N's element set, through
     :func:`_subgroup_where`, so its element list and generators are those of
     the element filter. Returns ``(walk, N)``, the walk as
     :func:`_conjugation_walk` gives it.
@@ -532,10 +594,11 @@ def _orbit_normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS):
     walked = _conjugation_walk(G, H, caps=caps, edges=edges)
     order = G.order // len(walked)
     chain = StabilizerChain(G.degree, [h.images for h in H.generators])
-    for w, g, image in edges:
+    gens = [g.images for g in G.generators]
+    for n, k, m in edges:
         if chain.order == order:
             break
-        chain.extend(_compose(_compose(w.images, g), _inverse(walked[image].images)))
+        chain.extend(_compose(_compose(walked.witness(n), gens[k]), _inverse(walked.witness(m))))
     if chain.order != order:
         raise AssertionError("Schreier elements do not generate the stabilizer")
     members = frozenset(chain.element_tuples())
@@ -669,41 +732,99 @@ def conjugating_element(G: PermGroup, A: PermGroup, B: PermGroup, caps: Caps = D
     return _conjugation_walk(G, A, [target], caps).get(target)
 
 
-def _conjugation_walk(G: PermGroup, A: PermGroup, targets=None, caps: Caps = DEFAULT_CAPS, edges=None) -> dict:
-    """``{element set of A^g: g}`` over the G-orbit of A under conjugation.
+def _conjugation_walk(G: PermGroup, A: PermGroup, targets=None, caps: Caps = DEFAULT_CAPS, edges=None) -> _Walk:
+    """The G-orbit of A under conjugation, as a :class:`_Walk` mapping
+    ``{element set of A^g: g}``.
 
-    One breadth-first walk from A's element set, conjugating by G's
-    generators in order; each g is the product along the path that first
-    reached its key, so it does not depend on ``targets``. The walk stops
-    once every element set in ``targets`` is a key; with no targets it
-    covers the whole orbit. If ``edges`` is a list, each step that reaches a
-    key already found is appended to it as (witness of the node, generator
-    images, key reached), in walk order.
+    One breadth-first walk on G's :class:`_ConjugationMemo`: a node is the
+    frozenset of its elements' indices, and its image by generator k is read
+    off column k. Nodes are numbered in the order they are found, and each
+    keeps a parent pointer (node id, generator index) to the step that first
+    reached it, so its witness is the product along that path, which does not
+    depend on ``targets``. The walk stops once every element set in
+    ``targets`` is a key; with no targets it covers the whole orbit. If
+    ``edges`` is a list, each step that reaches a node already found is
+    appended to it as (node id, generator index, node id reached), in walk
+    order. Stepping past ``caps.order_enum // |A|`` nodes raises.
     """
     caps.check("order_enum", A.order)
-    start = A.element_set()
-    witnesses = {start: G.identity()}
-    missing = None if targets is None else set(targets) - {start}
+    memo = _conjugation_memo(G)
+    start = memo.node(A.element_tuples())
+    walk = _Walk(memo, start, G.degree)
+    nodes, ids, parents = walk.nodes, walk.ids, walk.parents
+    missing = None if targets is None else {memo.node(t) for t in targets} - {start}
     node_cap = max(1, caps.order_enum // max(1, A.order))
-    gens = [(g, g.images, g.inv().images) for g in G.generators]
-    queue = [start] if missing is None or missing else []
-    for node in queue:  # grows while it is read: breadth first
-        w = witnesses[node]
-        for g, g_img, g_inv in gens:
-            image = frozenset(_conj(x, g_img, g_inv) for x in node)
-            if image in witnesses:
+    if missing is not None and not missing:
+        return walk
+    columns = list(enumerate(memo.columns))
+    for n, node in enumerate(nodes):  # grows while it is read: breadth first
+        for k, col in columns:
+            image = frozenset(map(col.__getitem__, node))
+            if None in image:
+                image = memo.image(k, node)
+            if image in ids:
                 if edges is not None:
-                    edges.append((w, g_img, image))
+                    edges.append((n, k, ids[image]))
                 continue
-            witnesses[image] = w * g
-            if missing is not None:
-                missing.discard(image)
+            m = ids[image] = len(nodes)
+            nodes.append(image)
+            parents[m] = (n, k)
+            if missing is not None and image in missing:
+                missing.remove(image)
                 if not missing:
-                    return witnesses
-            if len(witnesses) > node_cap:
-                raise CapExceeded("order_enum", caps.order_enum, len(witnesses) * A.order)
-            queue.append(image)
-    return witnesses
+                    return walk
+            if m >= node_cap:
+                raise CapExceeded("order_enum", caps.order_enum, (m + 1) * A.order)
+    return walk
+
+
+class _Walk(Mapping):
+    """A conjugation walk read as ``{element set of A^g: Permutation g}``, in
+    the order the nodes were found.
+
+    ``nodes[n]`` is node n as element indices of the memo, ``ids`` inverts
+    it, and ``parents[n]`` is (node id, generator index) of the step that
+    first reached node n, for every node but the start. A witness is formed, as an
+    image tuple, only when it is read: :meth:`witness` composes the
+    generators down the parent pointers from the nearest node whose witness
+    is already known, left to right as the walk stepped.
+    """
+
+    def __init__(self, memo: _ConjugationMemo, start, degree):
+        self._memo = memo
+        self.nodes = [start]
+        self.ids = {start: 0}
+        self.parents = {}
+        self._witnesses = {0: tuple(range(degree))}
+
+    def witness(self, n) -> tuple:
+        """The image tuple of a g with A^g = node n."""
+        known, path = self._witnesses, []
+        while n not in known:
+            path.append(n)
+            n = self.parents[n][0]
+        w = known[n]
+        for m in reversed(path):
+            w = known[m] = _compose(w, self._memo.gens[self.parents[m][1]][0])
+        return w
+
+    def __getitem__(self, key) -> Permutation:
+        index = self._memo.index
+        if all(map(index.__contains__, key)):
+            n = self.ids.get(frozenset(map(index.__getitem__, key)))
+            if n is not None:
+                return Permutation(self.witness(n))
+        raise KeyError(key)
+
+    def __iter__(self):
+        elements = self._memo.elements
+        return (frozenset(map(elements.__getitem__, node)) for node in self.nodes)
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def items(self):
+        return ((key, Permutation(self.witness(n))) for n, key in enumerate(self))
 
 
 # ---------------------------------------------------------------------------

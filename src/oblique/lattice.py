@@ -658,6 +658,6 @@ def component_orbit_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS):
     for Q in comps:
         if Q.element_set() in unvisited:
             orbit_count += 1
-            unvisited -= _conjugation_walk(S, Q, caps=caps).keys()
+            unvisited.difference_update(_conjugation_walk(S, Q, caps=caps))
     bound = pgroup_rank(S, caps=caps)
     return orbit_count, bound, orbit_count <= max(bound, 0) or orbit_count == 0

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 from oblique import (
     PermGroup,
     Permutation,
@@ -147,6 +150,45 @@ def test_one_g_walk_per_representative_serves_fusion_and_normalizers(monkeypatch
     # enumerates as many elements
     assert enumerated.count(G.order) == 1 and max(enumerated) == G.order
     assert G._table is None
+
+
+def test_fusion_conjugates_each_element_once_per_generator(monkeypatch):
+    # each (element, generator) pair of a group is conjugated once, into that
+    # group's memo; the Sylow subgroup is found first, so that only the walks
+    # are counted
+    G = PermGroup.symmetric(6)
+    S = sylow(G, 2)
+    monkeypatch.setattr(fusion_module, "sylow", lambda *args, **kwargs: S)
+    calls, conj = [], group._conj
+    monkeypatch.setattr(group, "_conj", lambda x, g, g_inv: calls.append((x, g)) or conj(x, g, g_inv))
+    fusion_table(G, 2)
+    bound = len(G._memo.elements) * len(G.generators) + len(S._memo.elements) * len(S.generators)
+    assert 0 < len(calls) <= bound
+
+
+def test_conjugation_memo_leaves_no_reference_cycle():
+    G = PermGroup.symmetric(6)
+    table = fusion_table(G, 2)
+    memos = [G._memo, table.sylow._memo]
+    # a memo holds only lists, dicts and tuples of ints: no group, and no
+    # object that could lead back to one
+    seen, todo = set(), [vars(m) for m in memos]
+    while todo:
+        obj = todo.pop()
+        assert type(obj) in (int, tuple, list, dict, str, type(None)), type(obj)
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    # so dropping the table frees G and both memos without a collection
+    refs = [weakref.ref(obj) for obj in (G, table.sylow, *memos)]
+    gc.collect()
+    gc.disable()
+    try:
+        del G, table, memos
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Centralizers, normalizers, intersections and conjugation walks against the
 raw-tuple oracles.
 
+The conjugation walk steps on element indices; a walk on image tuples kept
+here is its reference.
+
 Groups of order at most 5000 are searched by filtering their element list
 (a normalizer is found on the conjugation walk first, and the filter looks
 elements up in it). Besides the element set, each answer's generators must
@@ -33,6 +36,7 @@ from oblique.group import _conjugation_walk
 from conftest import _compose, brute_all_subgroups, brute_closure
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+CAP_FACTORS = (1, 2, 5, 10**6)  # node caps, as multiples of |A|
 
 
 def _inverse(a):
@@ -218,3 +222,88 @@ def test_walk_without_targets_is_the_brute_orbit(corpus):
             assert set(walked) == {frozenset(_conj(x, g) for x in start) for g in g_elems}, name
             for image, w in walked.items():
                 assert frozenset(_conj(x, w.images) for x in start) == image, name
+
+
+def reference_walk(G, A, targets=None, caps=Caps()):
+    """The conjugation walk on image tuples: ``({element set: witness images},
+    edges)``, keys in the order found, each edge (witness images of the node,
+    generator images, element set reached) for a step to a known key."""
+    start = frozenset(A.element_tuples())
+    witnesses = {start: tuple(range(G.degree))}
+    missing = None if targets is None else set(targets) - {start}
+    node_cap = max(1, caps.order_enum // max(1, A.order))
+    edges = []
+    queue = [start] if missing is None or missing else []
+    for node in queue:
+        w = witnesses[node]
+        for g in G.generators:
+            image = frozenset(_conj(x, g.images) for x in node)
+            if image in witnesses:
+                edges.append((w, g.images, image))
+                continue
+            witnesses[image] = _compose(w, g.images)
+            if missing is not None:
+                missing.discard(image)
+                if not missing:
+                    return witnesses, edges
+            if len(witnesses) > node_cap:
+                raise CapExceeded("order_enum", caps.order_enum, len(witnesses) * A.order)
+            queue.append(image)
+    return witnesses, edges
+
+
+def assert_walk_matches_reference(G, A, targets=None):
+    """Keys in walk order, witnesses, non-tree edges in order, and the node-cap
+    raise point all equal the tuple walk's."""
+    gens = [g.images for g in G.generators]
+    for factor in CAP_FACTORS:
+        caps = Caps(order_enum=max(1, factor * A.order))
+        try:
+            want, want_edges = reference_walk(G, A, targets, caps)
+        except CapExceeded as err:
+            with pytest.raises(CapExceeded) as got:
+                _conjugation_walk(G, A, targets, caps, edges=[])
+            assert str(got.value) == str(err)
+            continue
+        edges = []
+        walked = _conjugation_walk(G, A, targets, caps, edges=edges)
+        keys = list(walked)
+        assert keys == list(want)
+        assert [w.images for _, w in walked.items()] == list(want.values())
+        assert [(walked.witness(n), gens[k], keys[m]) for n, k, m in edges] == want_edges
+        if targets is not None:
+            assert [walked.get(t) for t in targets] == [
+                None if want.get(t) is None else Permutation(want[t]) for t in targets
+            ]
+
+
+@SETTINGS
+@given(group_subgroup_element())
+def test_index_walk_matches_tuple_walk(case):
+    G, H, x = case
+    X = PermGroup(G.degree, [Permutation(x)])
+    assert_walk_matches_reference(G, H)
+    assert_walk_matches_reference(G, X)
+    assert_walk_matches_reference(G, X, [H.element_set()] + [X.conjugated(g).element_set() for g in G.generators[-1:]])
+
+
+def test_index_walk_matches_tuple_walk_on_corpus(corpus):
+    for name, G in corpus.items():
+        if G.order > 720:
+            continue
+        subgroups = [sylow(G, 2), sylow(G, 3), PermGroup(G.degree, [G.generators[0]])]
+        for A in subgroups:
+            assert_walk_matches_reference(G, A)
+            assert_walk_matches_reference(G, A, [B.element_set() for B in subgroups if B.order == A.order])
+
+
+def test_conjugating_element_into_a_set_outside_the_group_is_none():
+    A4 = PermGroup.alternating(4)
+    A = PermGroup(4, [Permutation.parse("(1 2)(3 4)", 4)])
+    outside = PermGroup(4, [Permutation.parse("(1 2)", 4)])
+    assert conjugating_element(A4, A, outside) is None
+    # the walk gave the outside elements indices; later walks are unaffected
+    B = PermGroup(4, [Permutation.parse("(1 3)(2 4)", 4)])
+    w = conjugating_element(A4, A, B)
+    assert A.conjugated(w).same_group(B)
+    assert conjugating_element(A4, A, outside) is None
