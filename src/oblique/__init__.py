@@ -56,7 +56,6 @@ from .fusion import (
     alperin_closure_check,
     automizer,
     fusion_table,
-    g_fusion,
     p_prime_kernel_invariance,
     subgroup_classes_of_sylow,
 )

@@ -9,6 +9,7 @@ go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -111,16 +112,7 @@ def _caps_from(args):
 
 
 def _provenance(args, caps):
-    return {
-        "seed": args.seed,
-        "caps": {
-            "degree": caps.degree,
-            "order_enum": caps.order_enum,
-            "lattice": caps.lattice,
-            "ob_star": caps.ob_star,
-            "aut": caps.aut,
-        },
-    }
+    return {"seed": args.seed, "caps": dataclasses.asdict(caps)}
 
 
 def _cmd_invariants(args, caps):

@@ -45,7 +45,6 @@ class SClass:
 
     rep_id: int
     member_ids: list
-    s_witnesses: dict  # member id -> element of S conjugating rep to member
 
 
 @dataclass
@@ -61,12 +60,11 @@ class FusionTable:
     fusion_class_of: list = field(default_factory=list)  # class id -> fusion class id
     fully_normalized: list = field(default_factory=list)  # per fusion class: subgroup id
     automizers: list = field(default_factory=list)  # per s-class
-    completed: bool = False
     _normalizers: dict = field(default_factory=dict, init=False, repr=False)  # subgroup id -> N_G(P)
 
     def ambient_normalizer(self, sid: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         """N_G(P) for the subgroup with id ``sid``, computed once per table
-        (:func:`g_fusion` stores those it reads off its walks)."""
+        (:func:`_fuse` stores those it reads off its walks)."""
         if sid not in self._normalizers:
             self._normalizers[sid] = normalizer(self.ambient, self.subgroups[sid], caps=caps)
         return self._normalizers[sid]
@@ -96,9 +94,9 @@ def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
         if i in assigned:
             continue
         cid = len(s_classes)
-        witnesses = {by_mask[table.mask(k)]: w for k, w in _conjugation_walk(S, H, caps=caps).items()}
-        assigned.update(dict.fromkeys(witnesses, cid))
-        s_classes.append(SClass(rep_id=i, member_ids=sorted(witnesses), s_witnesses=witnesses))
+        members = sorted(by_mask[table.mask(k)] for k in _conjugation_walk(S, H, caps=caps))
+        assigned.update(dict.fromkeys(members, cid))
+        s_classes.append(SClass(rep_id=i, member_ids=members))
     return FusionTable(
         ambient=G, p=p, sylow=S, subgroups=subgroups, masks=masks, s_classes=s_classes, class_of_subgroup=assigned
     )
@@ -128,7 +126,7 @@ def _automizer(P: PermGroup, N: PermGroup, caps: Caps) -> Automizer:
     return Automizer(subgroup=P, order=order, action=action)
 
 
-def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> FusionTable:
+def _fuse(G: PermGroup, table: FusionTable, caps: Caps) -> FusionTable:
     """Complete a skeleton: fusion witnesses, fully normalized representatives,
     and automizers.
 
@@ -182,12 +180,11 @@ def g_fusion(G: PermGroup, table: FusionTable, caps: Caps = DEFAULT_CAPS) -> Fus
         _automizer(table.subgroups[c.rep_id], table.ambient_normalizer(c.rep_id, caps=caps), caps)
         for c in table.s_classes
     ]
-    table.completed = True
     return table
 
 
 def fusion_table(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> FusionTable:
-    return g_fusion(G, subgroup_classes_of_sylow(G, p, caps=caps), caps=caps)
+    return _fuse(G, subgroup_classes_of_sylow(G, p, caps=caps), caps)
 
 
 @dataclass
@@ -217,8 +214,6 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
     """
     if table is None:
         table = fusion_table(G, p, caps=caps)
-    if not table.completed:
-        table = g_fusion(G, table, caps=caps)
     subgroups, masks, s_table = table.subgroups, table.masks, _element_table(table.sylow)
     by_mask = {m: i for i, m in enumerate(masks)}
     moves = {i: [] for i in range(len(subgroups))}  # source id -> LocalMoves

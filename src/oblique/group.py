@@ -183,13 +183,6 @@ class StabilizerChain:
             elems = [_compose(e, u) for u in t.values() for e in elems]
         return elems
 
-    def random_element(self, rng):
-        g = self._ident
-        for t in reversed(self.transversals):
-            reps = list(t.values())
-            g = _compose(g, reps[rng.randrange(len(reps))])
-        return g
-
 
 class PermGroup:
     """A finite permutation group given by generators, with a verified chain.
@@ -284,9 +277,6 @@ class PermGroup:
 
     def element_set(self, cap=None):
         return frozenset(self.element_tuples(cap))
-
-    def random_element(self, rng) -> Permutation:
-        return Permutation(self.chain.random_element(rng))
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
@@ -822,9 +812,6 @@ class _Walk(Mapping):
 
     def __len__(self):
         return len(self.nodes)
-
-    def items(self):
-        return ((key, Permutation(self.witness(n))) for n, key in enumerate(self))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ Grammar (all constructors by name, arguments comma-separated):
               | sylow_of(spec, p)
               | quotient(spec, spec)
     permlit  := one or more parenthesised cycles, e.g. (1 2 3)(4 5)
+                (the regex ``perm._LITERAL``)
     matrix   := [[int, ...], ...]
 
 parse -> print -> parse round-trips; errors carry line and column.
@@ -28,7 +29,7 @@ from .group import (
     sylow,
     wreath_imprimitive,
 )
-from .perm import MalformedPermutation, Permutation
+from .perm import _LITERAL, MalformedPermutation, Permutation
 
 
 class SpecError(ValueError):
@@ -154,21 +155,13 @@ class _Parser:
     def permutation(self):
         self.skip_ws()
         start = self.pos
-        while True:
-            self.skip_ws()
-            if self.peek() != "(":
-                break
-            self.expect("(")
-            while self.peek() not in (")", ""):
-                self.integer()
-                if self.peek() == ",":
-                    self.expect(",")
-            self.expect(")")
-        literal = self.text[start : self.pos].strip()
-        if not literal:
+        literal = _LITERAL.match(self.text, start)
+        if literal is not None:
+            self.pos = literal.end()
+        if literal is None or self.peek() == "(":  # no cycle, or a malformed one
             self.error("expected a permutation literal such as (1 2 3)(4 5)")
         try:
-            return Permutation.parse(literal)
+            return Permutation.parse(literal.group())
         except MalformedPermutation as exc:
             self.pos = start
             self.error(str(exc))

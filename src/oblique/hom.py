@@ -2,8 +2,9 @@
 
 A map is certified at construction time: the pairs (g_i, phi(g_i)) generate a
 subgroup of the direct product whose order equals |domain| exactly when the
-generator assignment extends to a homomorphism. All element-level operations
-(apply, lift, kernel) are answered from stabilizer chains of that pair group.
+generator assignment extends to a homomorphism. ``apply`` sifts through the
+chain of that pair group; ``kernel``, ``lift`` and ``preimage_group`` read a
+second chain of it whose base starts on the codomain points.
 """
 
 from __future__ import annotations
@@ -141,10 +142,6 @@ class GroupHom:
     def image_of_group(self, H: PermGroup) -> PermGroup:
         """Image of a subgroup H of the domain."""
         return PermGroup(self.codomain.degree, [self.apply(h) for h in H.generators], caps=self._caps)
-
-    def then(self, other: "GroupHom") -> "GroupHom":
-        """Composite map x -> other(self(x))."""
-        return GroupHom(self.domain, other.codomain, [other.apply(y) for y in self.images], caps=self._caps)
 
     def __repr__(self):
         return (

@@ -18,6 +18,11 @@ class MalformedPermutation(ValueError):
     pass
 
 
+# 1-based cycle notation: parenthesised cycles whose points are separated by
+# blanks or by one comma, e.g. "(1 2 3)(4, 5)"; the identity is "()"
+_LITERAL = re.compile(r"(?:\(\s*(?:\d+(?:\s*,\s*\d+|\s+\d+)*)?\s*\)\s*)+")
+
+
 # ---------------------------------------------------------------------------
 # the kernel on image tuples (hot paths avoid Permutation objects)
 
@@ -159,7 +164,7 @@ class Permutation:
     def parse(text: str, degree: int | None = None) -> "Permutation":
         """Parse 1-based cycle notation, e.g. "(1 2 3)(4 5)"; identity is "()"."""
         stripped = text.strip()
-        if not re.fullmatch(r"(\(\s*(\d+([\s,]+\d+)*)?\s*\)\s*)+", stripped):
+        if not _LITERAL.fullmatch(stripped):
             raise MalformedPermutation(f"cannot parse permutation {text!r}")
         cycles = []
         for body in re.findall(r"\(([^()]*)\)", stripped):

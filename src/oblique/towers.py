@@ -40,17 +40,6 @@ class Tower:
     def __len__(self):
         return len(self.levels)
 
-    def projection(self, i: int, j: int) -> GroupHom:
-        """The composed map levels[i] -> levels[j] for j <= i."""
-        if not 0 <= j <= i < len(self.levels):
-            raise ValueError("projection requires 0 <= j <= i < height")
-        hom = None
-        for k in range(i - 1, j - 1, -1):
-            hom = self.maps[k] if hom is None else hom.then(self.maps[k])
-        if hom is None:
-            return GroupHom(self.levels[i], self.levels[i], list(self.levels[i].generators))
-        return hom
-
 
 def cyclic_tower(p: int, depth: int, caps: Caps = DEFAULT_CAPS) -> Tower:
     """C_p <- C_{p^2} <- ... as cycles on p^i points."""

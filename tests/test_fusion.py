@@ -42,13 +42,27 @@ def test_s4_subgroup_classes():
     table = subgroup_classes_of_sylow(G, 2)
     assert len(table.subgroups) == 10
     assert len(table.s_classes) == 8
-    # every class member really is S-conjugate to the representative
+    # each class is the S-orbit of its representative, by brute conjugation
+    S = [Permutation(s) for s in table.sylow.element_tuples()]
+    sets = [H.element_set() for H in table.subgroups]
     for cls in table.s_classes:
-        rep = table.subgroups[cls.rep_id]
-        for member_id in cls.member_ids:
-            w = cls.s_witnesses[member_id]
-            assert table.sylow.contains(w)
-            assert rep.conjugated(w).same_group(table.subgroups[member_id])
+        orbit = {_conjugate_set(sets[cls.rep_id], s) for s in S}
+        assert cls.member_ids == sorted(i for i, X in enumerate(sets) if X in orbit)
+
+
+def test_s_classes_form_no_witnesses(monkeypatch):
+    # S-classes are read off the walks' keys; no conjugating element is formed
+    calls = []
+    witness = group._Walk.witness
+
+    def counting_witness(walk, n):
+        calls.append(n)
+        return witness(walk, n)
+
+    monkeypatch.setattr(group._Walk, "witness", counting_witness)
+    table = subgroup_classes_of_sylow(PermGroup.symmetric(6), 2)
+    assert len(table.s_classes) > 1
+    assert calls == []
 
 
 def test_subgroup_enumeration_matches_brute_force():

@@ -74,6 +74,17 @@ def test_syntax_errors_carry_position():
         parse_spec("")
 
 
+def test_malformed_permutation_literals_raise_spec_errors():
+    for text in ("perm(3, (1 -2))", "perm(3, (0 1))", "perm(3, (1 2)(3)", "perm(3, (-))", "perm(3, (1 2)(1 x))"):
+        with pytest.raises(SpecError) as err:
+            parse_spec(text)
+        assert err.value.line == 1, text
+    # a malformed cycle is reported where it starts
+    with pytest.raises(SpecError) as err:
+        parse_spec("perm(3, (1 2)\n  (1 x))")
+    assert (err.value.line, err.value.column) == (2, 3)
+
+
 def test_semantic_errors():
     with pytest.raises(SpecError):
         build_group(parse_spec("alt(2)"))
