@@ -404,8 +404,11 @@ def _conjugation_memo(G: PermGroup) -> _ConjugationMemo:
 def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     """All conjugacy classes as (representative, size), identity class first.
 
-    Enumeration-based; representatives are the lexicographically least image
-    tuples of their class, and classes are sorted by (size, representative).
+    Representatives are the lexicographically least image tuples of their
+    class, and classes are sorted by (size, representative). If G = A x B over
+    its orbits, the classes are the products of A's and B's classes, with
+    representative rep_a rep_b (see :func:`_class_table`), and G's elements
+    are never listed; otherwise they are found on G's element list.
     """
     return [(Permutation(rep), len(keys)) for rep, keys in _class_table(G, caps)[0]]
 
@@ -421,9 +424,13 @@ def _class_table(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     """The conjugacy classes of G, found on base images.
 
     An element is fixed by its images of the chain's base (Seress, *Permutation
-    Group Algorithms*, 2003, ch. 4), so each element is keyed by that tuple, and
-    a conjugate y = g^-1 x g is computed only at the base points b:
-    y[b] = g[x[g^-1[b]]]. The classes are the orbits of G's generators.
+    Group Algorithms*, 2003, ch. 4), so each element is keyed by that tuple.
+    If G = A x B, with A the restriction of G to one orbit of its support and
+    B to the others (:func:`_split`), the classes of G are the products C_A C_B
+    of A's and B's classes: (a b)^(x y) = a^x b^y, as the factors commute. A
+    and B move disjoint points, so each position of the image tuple of a b is
+    decided by a or by b alone, and the least tuple of C_A C_B is rep_a rep_b.
+    Otherwise the classes are the orbits of G's generators on its elements.
 
     Returns (classes, class_of): ``classes`` lists (representative, member
     keys) sorted by (size, representative), where the representative is the
@@ -431,15 +438,35 @@ def _class_table(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     ``class_of`` maps each element's key to its index in ``classes``.
     """
     caps.check("order_enum", G.order)
+    classes = sorted(_classes(G, G.chain.base, caps), key=lambda c: (len(c[1]), c[0]))
+    return classes, {k: c for c, (_, keys) in enumerate(classes) for k in keys}
+
+
+def _classes(G: PermGroup, points, caps: Caps):
+    """G's classes as (least image tuple, members keyed by their images of
+    ``points``), unsorted, as :func:`_class_table` describes; ``points`` must
+    hold a base of G. A product's key is (a b)[points] = b[a[points]], so B's
+    members are keyed by all points, that is, kept whole. An orbit walk
+    computes a conjugate y = g^-1 x g only at the points p, y[p] = g[x[g^-1[p]]],
+    and looks it up by its key.
+    """
+    split = _split(G, caps)
+    if split is not None:
+        A, B = split
+        b_classes = _classes(B, range(G.degree), caps)
+        return [
+            (_compose(rep_a, rep_b), [_compose(k, b) for k in keys for b in members])
+            for rep_a, keys in _classes(A, points, caps)
+            for rep_b, members in b_classes
+        ]
     elems = G.element_tuples()
-    base = G.chain.base
-    key = _base_images(base)
+    key = _base_images(points)
     keys = [key(x) for x in elems]
-    index = {k: i for i, k in enumerate(keys)}  # to element indices now, to class indices at the end
+    index = {k: i for i, k in enumerate(keys)}
     movers = []
     for g in G.generators:
         g_inv = _inverse(g.images)
-        movers.append((_base_images([g_inv[b] for b in base]), g.images))
+        movers.append((_base_images([g_inv[p] for p in points]), g.images))
     seen = bytearray(len(elems))
     found = []
     for start in range(len(elems)):
@@ -454,14 +481,40 @@ def _class_table(G: PermGroup, caps: Caps = DEFAULT_CAPS):
                 if not seen[j]:
                     seen[j] = 1
                     members.append(j)
-        found.append((min(elems[i] for i in members), members))
-    found.sort(key=lambda c: (len(c[1]), c[0]))
-    classes = []
-    for c, (rep, members) in enumerate(found):
-        classes.append((rep, [keys[i] for i in members]))
-        for i in members:
-            index[keys[i]] = c
-    return classes, index
+        found.append((min(elems[i] for i in members), [keys[i] for i in members]))
+    return found
+
+
+def _split(G: PermGroup, caps: Caps):
+    """(A, B) with G = A x B, for A the restriction of G to one orbit of its
+    support and B its restriction to the other orbits, or None. G lies in A x B,
+    so it is A x B exactly when |A| |B| = |G|."""
+    gens = [g.images for g in G.generators]
+    orbits, seen = [], set()
+    for p in range(G.degree):
+        if p not in seen and any(g[p] != p for g in gens):
+            orbit = [p]
+            seen.add(p)
+            for q in orbit:  # grows while it is read
+                for g in gens:
+                    if g[q] not in seen:
+                        seen.add(g[q])
+                        orbit.append(g[q])
+            orbits.append(set(orbit))
+    if len(orbits) < 2:
+        return None
+    for orbit in orbits:
+        A = _restriction(G, orbit, caps)
+        B = _restriction(G, seen - orbit, caps)
+        if A.order * B.order == G.order:
+            return A, B
+    return None
+
+
+def _restriction(G: PermGroup, points, caps: Caps) -> PermGroup:
+    """G acting on the G-invariant set ``points``, fixing every other point."""
+    gens = [[g.images[p] if p in points else p for p in range(G.degree)] for g in G.generators]
+    return PermGroup(G.degree, gens, caps=caps)
 
 
 def normal_closure(G: PermGroup, xs, caps: Caps = DEFAULT_CAPS) -> PermGroup:

@@ -114,9 +114,11 @@ class _Parser:
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start:
+        try:  # a bare '-', or a digit int() rejects such as '²'
+            return int(self.text[start : self.pos])
+        except ValueError:
+            self.pos = start
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
 
     def name(self):
         self.skip_ws()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oblique.group
 import oblique.lattice
 from oblique import (
     CapExceeded,
@@ -46,6 +47,8 @@ from oblique import (
     wreath_tower,
 )
 from oblique.arith import digit_sum, prime_factors
+from oblique.caps import DEFAULT_CAPS
+from oblique.group import _class_table
 from oblique.lattice import _class_seeds, _fitting_product, all_subgroups, phi_lhd_height, pgroup_rank
 from oblique.towers import _permutation_matrices, fitting_degenerate_tower
 
@@ -213,6 +216,76 @@ def test_class_table_and_closure_masks_match_brute_oracles(corpus):
             closure = _brute_generated(G.degree, brute[rep])
             assert mask == sum(1 << i for i, r in enumerate(reps) if r in closure), name
         assert list(_class_seeds(G)[1]) == list(dict.fromkeys(masks[1:])), name
+
+
+def _relabelled(G, rng):
+    """G with its points renamed at random and its generators shuffled."""
+    sigma = Permutation(rng.sample(range(G.degree), G.degree))
+    gens = [g.conj(sigma) for g in G.generators]
+    rng.shuffle(gens)
+    return PermGroup(G.degree, gens)
+
+
+def _intransitive_groups():
+    """{name: (G, whether G splits as G on one orbit x G on the others)}."""
+    S3, S4, A4, A5 = PermGroup.symmetric(3), PermGroup.symmetric(4), PermGroup.alternating(4), PermGroup.alternating(5)
+    diagonal_s3 = PermGroup(6, [Permutation.from_cycles([[0, 1], [3, 4]], 6), Permutation.from_cycles([[0, 1, 2], [3, 4, 5]], 6)])
+    # the pairs (a, b) of S4 x S4 with sgn a = sgn b
+    even_pairs = PermGroup(8, direct_product(A4, A4).generators + (Permutation.from_cycles([[0, 1], [4, 5]], 8),))
+    assert even_pairs.order == 288
+    rng = random.Random(20)
+    groups = {
+        "A5xS4": (direct_product(A5, S4), True),
+        "S4xS4": (direct_product(S4, S4), True),
+        "S3xC2xA4": (direct_product(direct_product(S3, PermGroup.cyclic(2)), A4), True),
+        "diag(S3)xC3": (direct_product(diagonal_s3, PermGroup.cyclic(3)), True),
+        "diag(S3)": (diagonal_s3, False),
+        "(S4xS4)^+": (even_pairs, False),
+    }
+    return {name: (_relabelled(G, rng), splits) for name, (G, splits) in groups.items()}
+
+
+def test_class_tables_of_intransitive_groups_match_the_brute_oracle():
+    """A product's table is built from its factors' tables (S3xC2xA4 from
+    three; diag(S3)xC3 from a factor that does not split again), and a group
+    that does not split walks its own elements. Points are relabelled so that
+    the factors' points interleave. Sizes, representatives, member sets and
+    class_of must be the oracle's."""
+    for name, (G, splits) in _intransitive_groups().items():
+        assert (oblique.group._split(G, DEFAULT_CAPS) is not None) == splits, name
+        elements = brute_closure(G.degree, [g.images for g in G.generators])
+        brute = {min(c): c for c in brute_conjugacy_classes(elements)}
+        expected = sorted((len(c), rep) for rep, c in brute.items())
+        assert [(size, rep.images) for rep, size in conjugacy_classes(G)] == expected, name
+        classes, class_of = _class_table(G)
+        assert [(len(keys), rep) for rep, keys in classes] == expected, name
+        element_of = {tuple(x[b] for b in G.chain.base): x for x in elements}
+        assert len(element_of) == len(class_of) == len(elements), name
+        for c, (rep, keys) in enumerate(classes):
+            assert {element_of[k] for k in keys} == brute[rep], name
+            assert {class_of[k] for k in keys} == {c}, name
+
+
+def test_products_list_none_of_their_elements():
+    """ob_G(n) and F(G) of a direct product read its class table, built from
+    its factors' tables: G's own elements are never listed."""
+    rng = random.Random(5)
+    A5, S4 = PermGroup.alternating(5), PermGroup.symmetric(4)
+    G = _relabelled(direct_product(A5, A5), rng)
+    ob_function(G, 3)
+    assert G._elements is None
+    H = _relabelled(direct_product(A5, S4), rng)
+    assert fitting(H).order == 4
+    assert H._elements is None
+
+
+def test_order_cap_stops_a_product_before_its_factors_are_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(oblique.group, "_restriction", lambda *args: built.append(args))
+    A5 = PermGroup.alternating(5)
+    with pytest.raises(CapExceeded):
+        conjugacy_classes(direct_product(A5, A5), Caps(order_enum=1000))
+    assert built == []
 
 
 def test_lattice_finds_joins_of_three_seeds():

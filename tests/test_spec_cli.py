@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oblique.group
 from oblique import PermGroup, SpecError, build_group, parse_spec
 from oblique.caps import DEFAULT_CAPS, Caps
 from oblique.cli import main
@@ -257,6 +258,15 @@ def test_exit_code_1_on_affine_with_negative_dimension():
     assert code == 0 and json.loads(out)["invariants"]["order"] == 1
 
 
+def test_exit_code_1_on_integer_without_digits():
+    """A '-' with no digits, or a digit that int() rejects, is placed like
+    every other spec error."""
+    for spec, column in (("cyclic(-)", 8), ("cyclic(²)", 8), ("affine(2, 2, [[1, -]])", 19)):
+        code, out, err = run_cli("invariants", spec)
+        assert code == 1 and out == "" and err.count("\n") == 1, spec
+        assert json.loads(err) == {"error": "input", "message": f"expected an integer (line 1, column {column})"}
+
+
 def test_exit_code_1_on_tate_with_p_below_two():
     """p = 1 and p = -1 used to loop forever in p_part, so each case runs in
     its own process with a timeout: a hang fails the test instead of the run."""
@@ -333,6 +343,24 @@ def test_every_cap_check_uses_the_command_line_caps(monkeypatch, argv):
     assert code == 0, err
     expected = DEFAULT_CAPS.with_overrides(degree=4000)
     assert seen and [name for caps, name in seen if caps != expected] == []
+
+
+def test_transitive_class_tables_build_no_factor_group(monkeypatch):
+    """A class table tries to split a group over its orbits only when it has
+    more than one: the tower levels and S4 build no factor group, S4 x S4
+    builds its two."""
+    built, restriction = [], oblique.group._restriction
+    monkeypatch.setattr(oblique.group, "_restriction", lambda *args: built.append(args) or restriction(*args))
+    for argv in (
+        ("tower", "--family", "fitting", "--params", "3,5", "--max-n", "4"),
+        ("tower", "--family", "fitting", "--params", "7,2"),
+        ("tower", "--family", "fitting", "--params", "2,11"),
+        ("ob-table", "sym(4)", "--max-n", "4", "--star"),
+    ):
+        code, _, err = run_cli(*argv)
+        assert code == 0 and built == [], (argv, err)
+    code, _, err = run_cli("ob-table", "direct(sym(4),sym(4))", "--max-n", "2")
+    assert code == 0 and len(built) == 2, err
 
 
 def test_global_flags_after_subcommand():
