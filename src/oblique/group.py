@@ -503,7 +503,7 @@ def _split(G: PermGroup, caps: Caps):
             orbits.append(set(orbit))
     if len(orbits) < 2:
         return None
-    for orbit in orbits:
+    for orbit in orbits[:1] if len(orbits) == 2 else orbits:  # both of two orbits give one pair
         A = _restriction(G, orbit, caps)
         B = _restriction(G, seen - orbit, caps)
         if A.order * B.order == G.order:
