@@ -71,5 +71,18 @@ from .towers import (
     wreath_tower,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CapExceeded", "Caps", "DEFAULT_CAPS", "DegreeMismatch", "FusionTable", "GroupHom", "GroupSpec",
+    "MalformedPermutation", "NormalLattice", "NotAHomomorphism", "NotASubgroup", "NotNormal", "PermGroup",
+    "Permutation", "SpecError", "TateCheck", "Tower", "affine_semidirect", "alperin_closure_check",
+    "aut_group_small", "automizer", "build_group", "c_invariant", "center", "centralizer",
+    "component_orbit_check", "components", "conjugacy_classes", "conjugating_element", "cyclic_tower",
+    "derived_series", "derived_subgroup", "direct_product", "fitting", "fitting_degenerate_tower",
+    "frattini_normal", "frattini_pgroup", "fusion_table", "generalized_fitting", "intersection",
+    "intersection_of_small_normals", "is_nilpotent", "is_p_prime_normal", "is_quasisimple", "is_simple",
+    "is_soluble", "ji_certificate", "layer", "lower_central_series", "normal_closure", "normal_lattice",
+    "normalizer", "ob_function", "ob_star_function", "oblique_core", "p_prime_kernel_invariance", "parse_spec",
+    "pi_core", "pi_residual", "quotient_action", "strong_oblique_core", "subgroup_classes_of_sylow", "sylow",
+    "tate_check", "tower_fitting_sequence", "tower_ob_sequence", "wreath_imprimitive", "wreath_tower",
+]
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ re-indexed.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import product, repeat, takewhile
 from operator import itemgetter
 
 from .arith import is_prime, p_part, p_valuation
@@ -407,10 +408,12 @@ def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS):
     Representatives are the lexicographically least image tuples of their
     class, and classes are sorted by (size, representative). If G = A x B over
     its orbits, the classes are the products of A's and B's classes, with
-    representative rep_a rep_b (see :func:`_class_table`), and G's elements
-    are never listed; otherwise they are found on G's element list.
+    representative rep_a rep_b, and neither G's elements nor the members of
+    its classes are listed (see :func:`_class_table`); otherwise they are
+    found on G's element list.
     """
-    return [(Permutation(rep), len(keys)) for rep, keys in _class_table(G, caps)[0]]
+    table = _class_table(G, caps)
+    return list(zip(map(Permutation, table.reps), table.sizes))
 
 
 def _base_images(points):
@@ -421,74 +424,108 @@ def _base_images(points):
 
 
 def _class_table(G: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """The conjugacy classes of G, found on base images.
+    """The conjugacy classes of G as a table: ``reps`` and ``sizes``, sorted by
+    (size, representative), the representative being the least image tuple of
+    its class, so the identity class comes first; ``class_of(x)``, the index
+    of x's class; and ``reach(c, r)``, the classes of k r for k in class c.
 
-    An element is fixed by its images of the chain's base (Seress, *Permutation
-    Group Algorithms*, 2003, ch. 4), so each element is keyed by that tuple.
     If G = A x B, with A the restriction of G to one orbit of its support and
-    B to the others (:func:`_split`), the classes of G are the products C_A C_B
-    of A's and B's classes: (a b)^(x y) = a^x b^y, as the factors commute. A
-    and B move disjoint points, so each position of the image tuple of a b is
-    decided by a or by b alone, and the least tuple of C_A C_B is rep_a rep_b.
-    Otherwise the classes are the orbits of G's generators on its elements.
-
-    Returns (classes, class_of): ``classes`` lists (representative, member
-    keys) sorted by (size, representative), where the representative is the
-    least image tuple of the class, so the identity class comes first;
-    ``class_of`` maps each element's key to its index in ``classes``.
+    B to the others (:func:`_split`), the classes of G are the products
+    C_A C_B of A's and B's classes: (a b)^(x y) = a^x b^y, as the factors
+    commute. A and B move disjoint points, so each position of the image
+    tuple of a b is decided by a or by b alone, and the least tuple of C_A C_B
+    is rep_a rep_b. The table (:class:`_Product`) keeps A's and B's tables and
+    each class as its pair of factor classes, and forms no member; the class
+    of x is the pair of its factors' classes. For k = a b and r = r_A r_B,
+    k r = (a r_A)(b r_B), with a and b running through their classes
+    independently, so ``reach`` gives the pairs of a class A reaches and one B
+    reaches. A's reach from class i depends on r only through r_A, that is,
+    through r's images on A's support, so it is memoized under i and those
+    images and serves every r with the same restriction; likewise B's. A
+    group that does not split walks its elements (:class:`_Leaf`).
     """
     caps.check("order_enum", G.order)
-    classes = sorted(_classes(G, G.chain.base, caps), key=lambda c: (len(c[1]), c[0]))
-    return classes, {k: c for c, (_, keys) in enumerate(classes) for k in keys}
-
-
-def _classes(G: PermGroup, points, caps: Caps):
-    """G's classes as (least image tuple, members keyed by their images of
-    ``points``), unsorted, as :func:`_class_table` describes; ``points`` must
-    hold a base of G. A product's key is (a b)[points] = b[a[points]], so B's
-    members are keyed by all points, that is, kept whole. An orbit walk
-    computes a conjugate y = g^-1 x g only at the points p, y[p] = g[x[g^-1[p]]],
-    and looks it up by its key.
-    """
     split = _split(G, caps)
-    if split is not None:
-        A, B = split
-        b_classes = _classes(B, range(G.degree), caps)
-        return [
-            (_compose(rep_a, rep_b), [_compose(k, b) for k in keys for b in members])
-            for rep_a, keys in _classes(A, points, caps)
-            for rep_b, members in b_classes
-        ]
-    elems = G.element_tuples()
-    key = _base_images(points)
-    keys = [key(x) for x in elems]
-    index = {k: i for i, k in enumerate(keys)}
-    movers = []
-    for g in G.generators:
-        g_inv = _inverse(g.images)
-        movers.append((_base_images([g_inv[p] for p in points]), g.images))
-    seen = bytearray(len(elems))
-    found = []
-    for start in range(len(elems)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        members = [start]
-        for i in members:  # grows while it is read: a breadth-first orbit walk
-            x = elems[i]
-            for at, g in movers:
-                j = index[_compose(at(x), g)]
-                if not seen[j]:
-                    seen[j] = 1
-                    members.append(j)
-        found.append((min(elems[i] for i in members), [keys[i] for i in members]))
-    return found
+    return _Leaf(G) if split is None else _Product(*(_class_table(H, caps) for H in split))
+
+
+class _Classes:
+    """A class table, as :func:`_class_table` describes; its length is its number of classes."""
+
+    def __len__(self):
+        return len(self.reps)
+
+
+class _Leaf(_Classes):
+    """The orbits of G's generators on its elements, acting by conjugation. An
+    element is fixed by its base images (Seress, ch. 4), its key: ``members[c]``
+    lists the keys of class c. The walk finds a conjugate's key y[p] =
+    g[x[g^-1[p]]] at the base points p; ``reach`` streams k r's key r[k[base]]."""
+
+    def __init__(self, G: PermGroup):
+        base, elems = G.chain.base, G.element_tuples()
+        self.order, self._key = len(elems), _base_images(base)
+        self.support = tuple(p for p in range(G.degree) if any(g.images[p] != p for g in G.generators))
+        keys = list(map(self._key, elems))
+        index = {k: i for i, k in enumerate(keys)}
+        inverses = [_inverse(g.images) for g in G.generators]
+        movers = [(_base_images([g_inv[p] for p in base]), g.images) for g, g_inv in zip(G.generators, inverses)]
+        seen = bytearray(len(elems))
+        found = []
+        for start in range(len(elems)):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            members = [start]
+            for i in members:  # grows while it is read: a breadth-first orbit walk
+                x = elems[i]
+                for at, g in movers:
+                    j = index[_compose(at(x), g)]
+                    if not seen[j]:
+                        seen[j] = 1
+                        members.append(j)
+            found.append((len(members), min(elems[i] for i in members), [keys[i] for i in members]))
+        self.sizes, self.reps, self.members = map(list, zip(*sorted(found, key=itemgetter(0, 1))))
+        self._index = {k: c for c, keys in enumerate(self.members) for k in keys}
+
+    def class_of(self, x):
+        return self._index[self._key(x)]
+
+    def reach(self, c, r):
+        return map(self._index.__getitem__, map(_compose, self.members[c], repeat(r)))
+
+
+class _Product(_Classes):
+    """The classes of A x B: class c is A's class ``pairs[c][0]`` times B's ``pairs[c][1]``."""
+
+    def __init__(self, A, B):
+        self.factors, self.order = (A, B), A.order * B.order
+        self.support = tuple(sorted(A.support + B.support))
+        found = sorted(
+            (a_size * b_size, _compose(a_rep, b_rep), (i, j))
+            for i, (a_rep, a_size) in enumerate(zip(A.reps, A.sizes))
+            for j, (b_rep, b_size) in enumerate(zip(B.reps, B.sizes))
+        )
+        self.sizes, self.reps, self.pairs = map(list, zip(*found))
+        self._index = {pair: c for c, pair in enumerate(self.pairs)}
+        self._reached = [(_base_images(F.support), {}) for F in self.factors]  # per factor: {(i, r's images): classes}
+
+    def class_of(self, x):
+        return self._index[tuple(F.class_of(x) for F in self.factors)]
+
+    def reach(self, c, r):
+        reached = []
+        for F, i, (on_support, memo) in zip(self.factors, self.pairs[c], self._reached):
+            key = (i, on_support(r))
+            reached.append(memo.get(key) or memo.setdefault(key, set(F.reach(i, r))))  # a reach is never empty
+        return [self._index[pair] for pair in product(*reached)]
 
 
 def _split(G: PermGroup, caps: Caps):
     """(A, B) with G = A x B, for A the restriction of G to one orbit of its
     support and B its restriction to the other orbits, or None. G lies in A x B,
-    so it is A x B exactly when |A| |B| = |G|."""
+    so it is A x B exactly when each g|orbit lies in G (then so does g (g|orbit)^-1,
+    g on the other orbits): one sift per generator, and A and B are built only then."""
     gens = [g.images for g in G.generators]
     orbits, seen = [], set()
     for p in range(G.degree):
@@ -504,10 +541,9 @@ def _split(G: PermGroup, caps: Caps):
     if len(orbits) < 2:
         return None
     for orbit in orbits[:1] if len(orbits) == 2 else orbits:  # both of two orbits give one pair
-        A = _restriction(G, orbit, caps)
-        B = _restriction(G, seen - orbit, caps)
-        if A.order * B.order == G.order:
-            return A, B
+        restricted = (tuple(g[p] if p in orbit else p for p in range(G.degree)) for g in gens)
+        if all(map(G.chain.contains, restricted)):
+            return _restriction(G, orbit, caps), _restriction(G, seen - orbit, caps)
     return None
 
 
@@ -749,13 +785,14 @@ def _subgroup_where(G: PermGroup, test, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
     The elements that pass must form a subgroup. They are kept in
     ``G.element_tuples()`` order as the new group's element list, and each
-    one that extends the single growing chain becomes a generator, so the
-    generators depend only on G's element order and the test.
+    one that extends the one growing chain before it holds them all becomes
+    a generator, so the generators depend only on G's element order and the test.
     """
     caps.check("order_enum", G.order)
     chain = StabilizerChain(G.degree, [])
     kept = [e for e in G.element_tuples() if test(e)]
-    H = PermGroup(G.degree, [e for e in kept if chain.extend(e)], caps=caps)
+    gens = [e for e in takewhile(lambda _: chain.order < len(kept), kept) if chain.extend(e)]
+    H = PermGroup(G.degree, gens, caps=caps)
     H._chain, H._elements = chain, kept
     return H
 

@@ -46,8 +46,8 @@ class NormalLattice:
         self._orders = dict(sorted(orders.items(), key=lambda item: item[1]))  # {mask: order}, by order
         self._groups = {}
         self._caps = caps
-        self._classes = _class_seeds(ambient)[0]
-        self._full = (1 << len(self._classes)) - 1
+        self._reps = _class_seeds(ambient)[0].reps
+        self._full = (1 << len(self._reps)) - 1
 
     def __len__(self):
         return len(self._orders)
@@ -67,7 +67,7 @@ class NormalLattice:
 
     def _mask(self, H: PermGroup) -> int:
         if H.degree == self.ambient.degree:
-            mask = sum(1 << i for i, (rep, _) in enumerate(self._classes) if H.chain.contains(rep))
+            mask = sum(1 << i for i, rep in enumerate(self._reps) if H.chain.contains(rep))
             if mask in self._orders and self.group(mask).same_group(H):
                 return mask
         raise NotASubgroup("subgroup is not a member of the normal lattice")
@@ -109,26 +109,26 @@ class NormalLattice:
 
 
 def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """(classes, seeds, class_of, masks), cached: :func:`_class_table`'s
-    classes and class_of, each class's normal closure <c^G> as a class mask
+    """(table, seeds, class_of, masks), cached: :func:`_class_table`'s table
+    and its ``class_of``, each class's normal closure <c^G> as a class mask
     (:func:`_close`), and the distinct closures (the seeds) with their orders,
     in the order of their first class. Every normal subgroup is a join of
     seeds, a pi-core of some. Callers that need the lattice cap check it first.
     """
     if G._seeds is None:
-        classes, class_of = _class_table(G, caps)
+        table = _class_table(G, caps)
         masks, seeds = [1], {}
-        for c in range(1, len(classes)):
-            mask = _close(classes, class_of, 1 | 1 << c, classes[c][0], masks)
+        for c in range(1, len(table)):
+            mask = _close(table, 1 | 1 << c, table.reps[c], masks)
             masks.append(mask)
             if mask not in seeds:
-                seeds[mask] = _size(classes, mask)
-        G._seeds = (classes, seeds, class_of, masks)
+                seeds[mask] = _size(table, mask)
+        G._seeds = (table, seeds, table.class_of, masks)
     return G._seeds
 
 
-def _size(classes, mask) -> int:
-    return sum(len(classes[i][1]) for i in _bits(mask))
+def _size(table, mask) -> int:
+    return sum(table.sizes[i] for i in _bits(mask))
 
 
 def _bits(mask):
@@ -138,34 +138,33 @@ def _bits(mask):
         mask ^= low
 
 
-def _close(classes, class_of, mask, r, known, order=None):
+def _close(table, mask, r, known, order=None):
     """The smallest normal subgroup N holding the classes in ``mask`` and r, as
     a class mask. ``mask`` holds the identity class and r's class, and lies in
     M<r^G> for a normal subgroup M whose classes it holds (M = 1 for a seed).
 
     The union N of the classes reached from ``mask`` by a -> the classes of
-    K_a r is closed under conjugation and right multiplication by r, so by
-    every conjugate of r, and N = M<r^G> (Hulpke, "Computing normal subgroups",
-    ISSAC 1998). k r needs only k's base images, its key: (k r)[b] = r[k[b]].
-    Shortcuts: a union larger than |G|/q, for q the least prime dividing |G|,
-    closes to G; if a class a is found whose known closure ``known[a]`` =
-    <a^G> holds ``mask``, then N = <a^G>; and a caller that knows ``order`` =
-    |N| stops once the classes reached sum to it, as they all lie in N.
+    K_a r, ``table.reach(a, r)``, in any order, is closed under conjugation
+    and right multiplication by r, so by every conjugate of r, and N = M<r^G>
+    (Hulpke, "Computing normal subgroups", ISSAC 1998). Shortcuts: a union
+    larger than |G|/q, for q the least prime dividing |G|, closes to G; if a
+    class a is found whose known closure ``known[a]`` = <a^G> holds ``mask``,
+    then N = <a^G>; and a caller that knows ``order`` = |N| stops once the
+    classes reached sum to it, as they all lie in N.
     """
-    limit = len(class_of) // min(prime_factors(len(class_of)))
-    start, todo = mask, list(_bits(mask))
-    size = sum(len(classes[a][1]) for a in todo)
+    limit = table.order // min(prime_factors(table.order))
+    sizes, start, todo = table.sizes, mask, list(_bits(mask))
+    size = sum(sizes[a] for a in todo)
     while todo:
-        for k in classes[todo.pop()][1]:
-            a = class_of[_compose(k, r)]
+        for a in table.reach(todo.pop(), r):
             if mask >> a & 1:
                 continue
             if a < len(known) and start & ~known[a] == 0:
                 return known[a]
             mask |= 1 << a
-            size += len(classes[a][1])
+            size += sizes[a]
             if size > limit:
-                return (1 << len(classes)) - 1
+                return (1 << len(table)) - 1
             if size == order:
                 return mask
             todo.append(a)
@@ -175,12 +174,12 @@ def _close(classes, class_of, mask, r, known, order=None):
 def _seed_join(G: PermGroup, keep, caps: Caps) -> int:
     """The join of the class seeds whose order passes ``keep``, as a class mask."""
     caps.check("lattice", G.order)
-    classes, seeds, class_of, masks = _class_seeds(G, caps=caps)
+    table, seeds, _, masks = _class_seeds(G, caps=caps)
     out, order = 1, 1
     for c, seed in enumerate(masks):
         if not out >> c & 1 and keep(seeds[seed]):
-            order = order * seeds[seed] // _size(classes, out & seed)  # |AB| = |A||B| / |A n B|
-            out = _close(classes, class_of, out | 1 << c, classes[c][0], masks, order)
+            order = order * seeds[seed] // _size(table, out & seed)  # |AB| = |A||B| / |A n B|
+            out = _close(table, out | 1 << c, table.reps[c], masks, order)
     return out
 
 
@@ -188,21 +187,21 @@ def _normal_group(G: PermGroup, mask: int, caps: Caps) -> PermGroup:
     """The normal subgroup of G with class mask ``mask``: G for the full mask,
     else the normal closure of one class from each seed the mask needs (the
     maximal seeds inside it), once its order is checked against the mask."""
-    classes, seeds, _, masks = _class_seeds(G, caps=caps)
-    if mask == (1 << len(classes)) - 1:
+    table, seeds, _, masks = _class_seeds(G, caps=caps)
+    if mask == (1 << len(table)) - 1:
         return G
     inside = [s for s in seeds if s & ~mask == 0]
     maximal = [s for s in inside if not any(s != t and s & ~t == 0 for t in inside)]
-    N = normal_closure(G, [Permutation(classes[masks.index(s)][0]) for s in maximal], caps=caps)
-    if N.order != _size(classes, mask):
-        raise AssertionError(f"normal subgroup has order {N.order}, its class mask {_size(classes, mask)}")
+    N = normal_closure(G, [Permutation(table.reps[masks.index(s)]) for s in maximal], caps=caps)
+    if N.order != _size(table, mask):
+        raise AssertionError(f"normal subgroup has order {N.order}, its class mask {_size(table, mask)}")
     return N
 
 
 def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     if G._lattice is None:
         caps.check("lattice", G.order)
-        classes, seeds, class_of, masks = _class_seeds(G, caps=caps)
+        table, seeds, _, masks = _class_seeds(G, caps=caps)
         # top is a copy of G: a cycle G -> G._lattice -> G would outlive G until a full gc
         top = PermGroup(G.degree, G.generators, caps=caps)
         top._chain, top._seeds = G.chain, G._seeds
@@ -211,15 +210,15 @@ def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
         # of order |AS| = |A||S| / |A n S| that holds A and S is AS, so only a
         # new member is closed
         members = {}  # {order: masks}
-        for m, order in {1: 1, (1 << len(classes)) - 1: G.order, **seeds}.items():
+        for m, order in {1: 1, (1 << len(table)) - 1: G.order, **seeds}.items():
             members.setdefault(order, []).append(m)
         for s, s_order in seeds.items():
-            r = classes[masks.index(s)][0]
+            r = table.reps[masks.index(s)]
             for a, a_order in [(a, order) for order, found in members.items() for a in found]:
-                order = a_order * s_order // _size(classes, a & s)
+                order = a_order * s_order // _size(table, a & s)
                 same = members.setdefault(order, [])
                 if not any((a | s) & ~m == 0 for m in same):
-                    same.append(_close(classes, class_of, a | s, r, masks, order))
+                    same.append(_close(table, a | s, r, masks, order))
         orders = {m: order for order, found in members.items() for m in found}
         G._lattice = NormalLattice(top, orders, caps)
     return G._lattice
@@ -265,8 +264,8 @@ def is_quasisimple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
     abelian Z(G), is trivial as G is perfect."""
     if G.order == 1 or derived_subgroup(G, caps=caps).order < G.order:
         return False
-    classes, seeds, _, masks = _class_seeds(G, caps=caps)
-    return all(seeds[masks[c]] == G.order for c, (_, keys) in enumerate(classes) if len(keys) > 1)
+    table, seeds, _, masks = _class_seeds(G, caps=caps)
+    return all(seeds[masks[c]] == G.order for c, size in enumerate(table.sizes) if size > 1)
 
 
 def components(G: PermGroup, caps: Caps = DEFAULT_CAPS):

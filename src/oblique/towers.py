@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, legendre_factorial_valuation
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
-from .group import PermGroup, _base_images, affine_semidirect, wreath_imprimitive
+from .group import PermGroup, affine_semidirect, wreath_imprimitive
 from .hom import GroupHom
 from .lattice import _class_seeds, _fitting_mask, _ob_core, _size, ob_function
 from .perm import Permutation
@@ -139,9 +139,9 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
 def _preimage(hom: GroupHom, mask: int, caps: Caps) -> int:
     """The class mask of the full preimage under ``hom`` of the normal subgroup of
     its codomain with class mask ``mask``: the classes whose representative maps into it."""
-    class_of, key = _class_seeds(hom.codomain, caps=caps)[2], _base_images(hom.codomain.chain.base)
-    images = (hom.apply(Permutation(rep)).images for rep, _ in _class_seeds(hom.domain, caps=caps)[0])
-    return sum(1 << c for c, y in enumerate(images) if mask >> class_of[key(y)] & 1)
+    class_of = _class_seeds(hom.codomain, caps=caps)[2]
+    images = (hom.apply(Permutation(rep)).images for rep in _class_seeds(hom.domain, caps=caps)[0].reps)
+    return sum(1 << c for c, y in enumerate(images) if mask >> class_of(y) & 1)
 
 
 def tower_ob_sequence(tower: Tower, n: int, caps: Caps = DEFAULT_CAPS):

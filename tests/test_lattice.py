@@ -52,7 +52,7 @@ from oblique.group import _class_table
 from oblique.lattice import _class_seeds, _fitting_product, all_subgroups, phi_lhd_height, pgroup_rank
 from oblique.towers import _permutation_matrices, fitting_degenerate_tower
 
-from conftest import brute_all_subgroups, brute_closure, brute_conjugacy_classes, brute_normal_subgroups
+from conftest import _compose, brute_all_subgroups, brute_closure, brute_conjugacy_classes, brute_normal_subgroups
 
 
 def _tuple_inverse(g):
@@ -257,13 +257,48 @@ def test_class_tables_of_intransitive_groups_match_the_brute_oracle():
         brute = {min(c): c for c in brute_conjugacy_classes(elements)}
         expected = sorted((len(c), rep) for rep, c in brute.items())
         assert [(size, rep.images) for rep, size in conjugacy_classes(G)] == expected, name
-        classes, class_of = _class_table(G)
-        assert [(len(keys), rep) for rep, keys in classes] == expected, name
+        table = _class_table(G)
+        assert list(zip(table.sizes, table.reps)) == expected, name
         element_of = {tuple(x[b] for b in G.chain.base): x for x in elements}
-        assert len(element_of) == len(class_of) == len(elements), name
-        for c, (rep, keys) in enumerate(classes):
-            assert {element_of[k] for k in keys} == brute[rep], name
-            assert {class_of[k] for k in keys} == {c}, name
+        assert len(element_of) == table.order == len(elements), name
+        for c, rep in enumerate(table.reps):
+            assert {x for x in elements if table.class_of(x) == c} == brute[rep], name
+            assert {table.class_of(x) for x in brute[rep]} == {c}, name
+
+
+def test_class_table_queries_match_the_brute_oracle():
+    """For every class c and representative r, reach(c, r) gives the classes
+    of k r for k in class c, and class_of(x) gives the class of x, as the
+    oracle's classes do: for products, whose factor reaches are memoized
+    under r's images on the factor's support, and for groups that do not
+    split."""
+    for name, (G, _) in _intransitive_groups().items():
+        elements = brute_closure(G.degree, [g.images for g in G.generators])
+        brute = sorted(brute_conjugacy_classes(elements), key=lambda c: (len(c), min(c)))
+        brute_of = {x: c for c, members in enumerate(brute) for x in members}
+        table = _class_table(G)
+        assert table.reps == [min(c) for c in brute], name
+        assert all(table.class_of(x) == brute_of[x] for x in elements), name
+        for c, members in enumerate(brute):
+            for r in table.reps:
+                assert set(table.reach(c, r)) == {brute_of[_compose(k, r)] for k in members}, (name, c, r)
+
+
+def test_product_class_seeds_form_fewer_products_than_elements(monkeypatch):
+    """The seeds of A5xA5 close classes through its factors' memoized reaches:
+    fewer image tuples are multiplied than the 3600 elements of G."""
+    A5 = PermGroup.alternating(5)
+    G = _relabelled(direct_product(A5, A5), random.Random(21))
+    calls, compose = [], oblique.group._compose
+
+    def counting(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    for module in (oblique.group, oblique.lattice):
+        monkeypatch.setattr(module, "_compose", counting)
+    _class_seeds(G)
+    assert 0 < len(calls) < G.order == 3600
 
 
 def test_products_list_none_of_their_elements():
@@ -331,14 +366,14 @@ def test_lattice_closes_only_new_members(monkeypatch):
 
 def test_order_stop_closes_to_the_same_mask(corpus):
     for name, G in corpus.items():
-        classes, seeds, class_of, masks = _class_seeds(G)
+        table, seeds, _, masks = _class_seeds(G)
         for a, a_order in normal_lattice(G)._orders.items():
             for s, s_order in seeds.items():
-                r = classes[masks.index(s)][0]
-                meet = sum(len(keys) for i, (_, keys) in enumerate(classes) if a & s >> i & 1)
+                r = table.reps[masks.index(s)]
+                meet = sum(size for i, size in enumerate(table.sizes) if a & s >> i & 1)
                 order = a_order * s_order // meet
-                closed = oblique.lattice._close(classes, class_of, a | s, r, masks)
-                assert oblique.lattice._close(classes, class_of, a | s, r, masks, order) == closed, name
+                closed = oblique.lattice._close(table, a | s, r, masks)
+                assert oblique.lattice._close(table, a | s, r, masks, order) == closed, name
 
 
 def test_is_quasisimple_matches_the_reference_and_closes_nothing(corpus, monkeypatch):

@@ -24,6 +24,7 @@ from oblique import (
     PermGroup,
     Permutation,
     centralizer,
+    conjugacy_classes,
     conjugating_element,
     fusion_table,
     intersection,
@@ -120,6 +121,20 @@ def test_searches_match_set_oracles_on_corpus(corpus):
                     assert normalizer(G, Q) is G
                     continue
                 assert_filtered(normalizer(G, Q), G, lambda e: all(_conj(q, e) in q_elems for q in q_gens))
+
+
+def test_element_filter_generators_are_those_of_extending_by_every_element(corpus):
+    """The element filter stops extending its chain once the chain holds every
+    kept element; the generators are still those of extending it by each kept
+    element in turn, for the centralizer of every class representative and
+    the normalizer of the cyclic subgroup it generates."""
+    for name, G in corpus.items():
+        if G.order > 720:
+            continue
+        for rep, _ in conjugacy_classes(G)[1:]:
+            for found in (centralizer(G, rep), normalizer(G, PermGroup(G.degree, [rep]))):
+                chain = group.StabilizerChain(G.degree, [])
+                assert [g.images for g in found.generators] == [e for e in found._elements if chain.extend(e)], name
 
 
 def test_normalizer_checks_the_enumeration_cap_before_walking(monkeypatch):

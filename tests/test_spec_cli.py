@@ -363,6 +363,15 @@ def test_transitive_class_tables_build_no_factor_group(monkeypatch):
     assert code == 0 and len(built) == 2, err
 
 
+def test_many_orbit_groups_that_do_not_split_build_no_factor_group(monkeypatch):
+    """The semiregular subgroups of C64 have up to 32 orbits and never split:
+    one sift per generator rules each orbit out, and no factor group is built."""
+    built, restriction = [], oblique.group._restriction
+    monkeypatch.setattr(oblique.group, "_restriction", lambda *args: built.append(args) or restriction(*args))
+    code, _, err = run_cli("invariants", "cyclic(64)")
+    assert code == 0 and built == [], err
+
+
 def test_global_flags_after_subcommand():
     code, out, _ = run_cli("invariants", "sym(3)", "--seed", "7")
     assert code == 0
