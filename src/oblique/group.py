@@ -222,10 +222,12 @@ class PermGroup:
     @staticmethod
     def cyclic(n, degree=None, caps: Caps = DEFAULT_CAPS):
         degree = n if degree is None else degree
+        caps.check("degree", degree)
         return PermGroup(degree, [Permutation.from_cycles([list(range(n))], degree)], caps=caps)
 
     @staticmethod
     def symmetric(n, caps: Caps = DEFAULT_CAPS):
+        caps.check("degree", n)
         if n <= 1:
             return PermGroup.trivial(max(n, 1), caps=caps)
         gens = [Permutation.from_cycles([[0, 1]], n)]
@@ -235,6 +237,7 @@ class PermGroup:
 
     @staticmethod
     def alternating(n, caps: Caps = DEFAULT_CAPS):
+        caps.check("degree", n)
         if n <= 2:
             return PermGroup.trivial(max(n, 1), caps=caps)
         gens = [Permutation.from_cycles([[i, i + 1, i + 2]], n) for i in range(n - 2)]
@@ -245,6 +248,7 @@ class PermGroup:
         """Dihedral group of order 2n on n points (n >= 3)."""
         if n < 3:
             raise ValueError("dihedral(n) needs n >= 3")
+        caps.check("degree", n)
         rot = Permutation.from_cycles([list(range(n))], n)
         refl = Permutation(tuple((n - i) % n for i in range(n)))
         return PermGroup(n, [rot, refl], caps=caps)

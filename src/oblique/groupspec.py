@@ -1,6 +1,8 @@
 """Textual group specifications.
 
-Grammar (all constructors by name, arguments comma-separated):
+A spec is a constructor name and its arguments in parentheses, separated by
+commas. ``_SIGNATURES`` gives each constructor's fixed arguments, then the
+argument, if any, that may repeat zero or more times after them (``...``):
 
     spec     := cyclic(n) | sym(n) | alt(n) | dihedral(n)
               | perm(degree, permlit, ...)
@@ -9,16 +11,18 @@ Grammar (all constructors by name, arguments comma-separated):
               | affine(p, d, matrix, ...)
               | sylow_of(spec, p)
               | quotient(spec, spec)
-    permlit  := one or more parenthesised cycles, e.g. (1 2 3)(4 5)
-                (the regex ``perm._LITERAL``)
-    matrix   := [[int, ...], ...]
+    n, degree, m, p, d := integer
+    permlit  := one or more parenthesised cycles, e.g. (1 2 3)(4 5), with no
+                point above the declared degree (the regex ``perm._LITERAL``)
+    matrix   := [[integer, ...], ...]
 
 parse -> print -> parse round-trips; errors carry line and column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
@@ -66,9 +70,19 @@ def _print_spec(s: GroupSpec) -> str:
     return f"{s.constructor}(" + ", ".join(_print_arg(a) for a in s.args) + ")"
 
 
-_CONSTRUCTORS = {
-    "cyclic", "sym", "alt", "dihedral", "perm",
-    "direct", "wreath", "affine", "sylow_of", "quotient",
+# Each constructor's argument signature: the readers of its fixed arguments,
+# then the reader of an argument that may repeat after them (or None).
+_SIGNATURES = {
+    "cyclic": (["integer"], None),
+    "sym": (["integer"], None),
+    "alt": (["integer"], None),
+    "dihedral": (["integer"], None),
+    "perm": (["integer"], "permutation"),
+    "direct": (["spec", "spec"], None),
+    "wreath": (["spec", "integer", "spec"], None),
+    "affine": (["integer", "integer"], "matrix"),
+    "sylow_of": (["spec", "integer"], None),
+    "quotient": (["spec", "spec"], None),
 }
 
 
@@ -86,8 +100,8 @@ class _Parser:
         column = pos - (consumed.rfind("\n") + 1) + 1
         return line, column
 
-    def error(self, message):
-        line, col = self._line_col()
+    def error(self, message, pos=None):
+        line, col = self._line_col(pos)
         raise SpecError(message, line, col)
 
     # -- lexing helpers ------------------------------------------------------
@@ -117,8 +131,7 @@ class _Parser:
         try:  # a bare '-', or a digit int() rejects such as '²'
             return int(self.text[start : self.pos])
         except ValueError:
-            self.pos = start
-            self.error("expected an integer")
+            self.error("expected an integer", start)
 
     def name(self):
         self.skip_ws()
@@ -134,27 +147,22 @@ class _Parser:
     def spec(self) -> GroupSpec:
         start = self.pos
         ctor = self.name()
-        if ctor not in _CONSTRUCTORS:
-            self.pos = start
-            self.error(f"unknown constructor {ctor!r} (expected one of {sorted(_CONSTRUCTORS)})")
+        if ctor not in _SIGNATURES:
+            self.error(f"unknown constructor {ctor!r} (expected one of {sorted(_SIGNATURES)})", start)
+        fixed, repeated = _SIGNATURES[ctor]
         self.expect("(")
-        args = getattr(self, "_args_" + ctor)()
+        args = [getattr(self, fixed[0])()]
+        for reader in fixed[1:]:
+            self.expect(",")
+            args.append(getattr(self, reader)())
+        while repeated and self.peek() == ",":
+            self.expect(",")
+            args.append(getattr(self, repeated)(args))
         self.expect(")")
         return GroupSpec(ctor, tuple(args))
 
-    def _args_cyclic(self):
-        return [self.integer()]
-
-    _args_sym = _args_alt = _args_dihedral = _args_cyclic
-
-    def _args_perm(self):
-        args = [self.integer()]
-        while self.peek() == ",":
-            self.expect(",")
-            args.append(self.permutation())
-        return args
-
-    def permutation(self):
+    def permutation(self, args):
+        """A literal of perm(); a point above the degree args[0] is refused unbuilt."""
         self.skip_ws()
         start = self.pos
         literal = _LITERAL.match(self.text, start)
@@ -162,67 +170,26 @@ class _Parser:
             self.pos = literal.end()
         if literal is None or self.peek() == "(":  # no cycle, or a malformed one
             self.error("expected a permutation literal such as (1 2 3)(4 5)")
+        largest = max(map(int, re.findall(r"\d+", literal.group())), default=0)
+        if largest > args[0]:  # Permutation.parse's message, where the literal starts
+            self.error(f"point {largest} exceeds degree {args[0]}", start)
         try:
             return Permutation.parse(literal.group())
         except MalformedPermutation as exc:
-            self.pos = start
-            self.error(str(exc))
+            self.error(str(exc), start)
 
-    def _args_direct(self):
-        a = self.spec()
-        self.expect(",")
-        return [a, self.spec()]
-
-    def _args_wreath(self):
-        a = self.spec()
-        self.expect(",")
-        m = self.integer()
-        self.expect(",")
-        return [a, m, self.spec()]
-
-    def _args_affine(self):
-        p = self.integer()
-        self.expect(",")
-        d = self.integer()
-        args = [p, d]
+    def bracketed(self, item):
+        """``[item, ...]`` as a tuple."""
+        self.expect("[")
+        out = [item()]
         while self.peek() == ",":
             self.expect(",")
-            args.append(self.matrix())
-        return args
-
-    def matrix(self):
-        self.expect("[")
-        rows = []
-        while True:
-            rows.append(self.row())
-            if self.peek() == ",":
-                self.expect(",")
-                continue
-            break
+            out.append(item())
         self.expect("]")
-        return tuple(rows)
+        return tuple(out)
 
-    def row(self):
-        self.expect("[")
-        vals = []
-        while True:
-            vals.append(self.integer())
-            if self.peek() == ",":
-                self.expect(",")
-                continue
-            break
-        self.expect("]")
-        return tuple(vals)
-
-    def _args_sylow_of(self):
-        a = self.spec()
-        self.expect(",")
-        return [a, self.integer()]
-
-    def _args_quotient(self):
-        a = self.spec()
-        self.expect(",")
-        return [a, self.spec()]
+    def matrix(self, _args):
+        return self.bracketed(lambda: self.bracketed(self.integer))
 
     def parse(self) -> GroupSpec:
         out = self.spec()
@@ -263,6 +230,7 @@ def build_group(spec: GroupSpec, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         degree = a[0]
         if degree < 1:
             bad(f"perm({degree}, ...): degree must be at least 1")
+        caps.check("degree", degree)
         gens = []
         for lit in a[1:]:
             if lit.degree > degree:

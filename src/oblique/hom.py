@@ -70,23 +70,16 @@ class GroupHom:
     # -- queries ---------------------------------------------------------------
 
     def apply(self, x: Permutation) -> Permutation:
-        """phi(x); raises if x is not in the domain."""
-        dG, dH = self.domain.degree, self.codomain.degree
+        """phi(x); raises if x is not in the domain. Sifting (x, 1) through the
+        graph leaves (x g^-1, phi(g)^-1) for some g in the domain; its domain
+        part is the identity exactly when x is in the domain, and then g = x."""
+        dG = self.domain.degree
         if x.degree != dG:
             raise NotASubgroup("element degree does not match the domain")
-        chain = self._dom_chain
-        cur = x.images
-        sec = tuple(range(dH))
-        for i, b in enumerate(chain.base):
-            u_inv = chain.inverses[i].get(cur[b])
-            if u_inv is None:
-                raise NotASubgroup(f"element {x} is not in the domain")
-            first, second = _split(u_inv, dG)
-            cur = _compose(cur, first)
-            sec = _compose(sec, second)
-        if cur != tuple(range(dG)):
+        residue = self._dom_chain._strip(x.images + tuple(range(dG, self._pair_degree)))[0]
+        if residue[:dG] != tuple(range(dG)):
             raise NotASubgroup(f"element {x} is not in the domain")
-        return Permutation(_inverse(sec))
+        return Permutation(_inverse(tuple(q - dG for q in residue[dG:])))
 
     def image(self) -> PermGroup:
         if self._image is None:

@@ -46,8 +46,8 @@ class NormalLattice:
         self._orders = dict(sorted(orders.items(), key=lambda item: item[1]))  # {mask: order}, by order
         self._groups = {}
         self._caps = caps
-        self._reps = _class_seeds(ambient)[0].reps
-        self._full = (1 << len(self._reps)) - 1
+        self._table = _class_seeds(ambient)[0]
+        self._full = (1 << len(self._table)) - 1
 
     def __len__(self):
         return len(self._orders)
@@ -67,7 +67,7 @@ class NormalLattice:
 
     def _mask(self, H: PermGroup) -> int:
         if H.degree == self.ambient.degree:
-            mask = sum(1 << i for i, rep in enumerate(self._reps) if H.chain.contains(rep))
+            mask = sum(1 << i for i, rep in enumerate(self._table.reps) if H.chain.contains(rep))
             if mask in self._orders and self.group(mask).same_group(H):
                 return mask
         raise NotASubgroup("subgroup is not a member of the normal lattice")
@@ -109,11 +109,11 @@ class NormalLattice:
 
 
 def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """(table, seeds, class_of, masks), cached: :func:`_class_table`'s table
-    and its ``class_of``, each class's normal closure <c^G> as a class mask
-    (:func:`_close`), and the distinct closures (the seeds) with their orders,
-    in the order of their first class. Every normal subgroup is a join of
-    seeds, a pi-core of some. Callers that need the lattice cap check it first.
+    """(table, seeds, masks), cached: :func:`_class_table`'s table, each
+    class's normal closure <c^G> as a class mask (:func:`_close`), and the
+    distinct closures (the seeds) with their orders, in the order of their
+    first class. Every normal subgroup is a join of seeds, a pi-core of some.
+    Callers that need the lattice cap check it first.
     """
     if G._seeds is None:
         table = _class_table(G, caps)
@@ -123,7 +123,7 @@ def _class_seeds(G: PermGroup, caps: Caps = DEFAULT_CAPS):
             masks.append(mask)
             if mask not in seeds:
                 seeds[mask] = _size(table, mask)
-        G._seeds = (table, seeds, table.class_of, masks)
+        G._seeds = (table, seeds, masks)
     return G._seeds
 
 
@@ -174,7 +174,7 @@ def _close(table, mask, r, known, order=None):
 def _seed_join(G: PermGroup, keep, caps: Caps) -> int:
     """The join of the class seeds whose order passes ``keep``, as a class mask."""
     caps.check("lattice", G.order)
-    table, seeds, _, masks = _class_seeds(G, caps=caps)
+    table, seeds, masks = _class_seeds(G, caps=caps)
     out, order = 1, 1
     for c, seed in enumerate(masks):
         if not out >> c & 1 and keep(seeds[seed]):
@@ -187,7 +187,7 @@ def _normal_group(G: PermGroup, mask: int, caps: Caps) -> PermGroup:
     """The normal subgroup of G with class mask ``mask``: G for the full mask,
     else the normal closure of one class from each seed the mask needs (the
     maximal seeds inside it), once its order is checked against the mask."""
-    table, seeds, _, masks = _class_seeds(G, caps=caps)
+    table, seeds, masks = _class_seeds(G, caps=caps)
     if mask == (1 << len(table)) - 1:
         return G
     inside = [s for s in seeds if s & ~mask == 0]
@@ -201,7 +201,7 @@ def _normal_group(G: PermGroup, mask: int, caps: Caps) -> PermGroup:
 def normal_lattice(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     if G._lattice is None:
         caps.check("lattice", G.order)
-        table, seeds, _, masks = _class_seeds(G, caps=caps)
+        table, seeds, masks = _class_seeds(G, caps=caps)
         # top is a copy of G: a cycle G -> G._lattice -> G would outlive G until a full gc
         top = PermGroup(G.degree, G.generators, caps=caps)
         top._chain, top._seeds = G.chain, G._seeds
@@ -264,7 +264,7 @@ def is_quasisimple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
     abelian Z(G), is trivial as G is perfect."""
     if G.order == 1 or derived_subgroup(G, caps=caps).order < G.order:
         return False
-    table, seeds, _, masks = _class_seeds(G, caps=caps)
+    table, seeds, masks = _class_seeds(G, caps=caps)
     return all(seeds[masks[c]] == G.order for c, size in enumerate(table.sizes) if size > 1)
 
 

@@ -139,7 +139,7 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
 def _preimage(hom: GroupHom, mask: int, caps: Caps) -> int:
     """The class mask of the full preimage under ``hom`` of the normal subgroup of
     its codomain with class mask ``mask``: the classes whose representative maps into it."""
-    class_of = _class_seeds(hom.codomain, caps=caps)[2]
+    class_of = _class_seeds(hom.codomain, caps=caps)[0].class_of
     images = (hom.apply(Permutation(rep)).images for rep in _class_seeds(hom.domain, caps=caps)[0].reps)
     return sum(1 << c for c, y in enumerate(images) if mask >> class_of(y) & 1)
 

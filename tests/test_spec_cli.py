@@ -11,8 +11,9 @@ import pytest
 
 import oblique.group
 from oblique import PermGroup, SpecError, build_group, parse_spec
-from oblique.caps import DEFAULT_CAPS, Caps
+from oblique.caps import DEFAULT_CAPS, CapExceeded, Caps
 from oblique.cli import main
+from oblique.perm import Permutation
 
 
 def run_cli(*argv):
@@ -73,6 +74,68 @@ def test_syntax_errors_carry_position():
         parse_spec("direct(sym(3)")
     with pytest.raises(SpecError):
         parse_spec("")
+
+
+_KNOWN = "['affine', 'alt', 'cyclic', 'dihedral', 'direct', 'perm', 'quotient', 'sylow_of', 'sym', 'wreath']"
+
+# one malformed spec per error site of the grammar: (text, message, line, column)
+ERROR_SITES = [
+    ("frobnicate(3)", f"unknown constructor 'frobnicate' (expected one of {_KNOWN})", 1, 1),
+    ("", "expected a constructor name", 1, 1),
+    ("   ", "expected a constructor name", 1, 4),
+    ("cyclic 8", "expected '(', got '8'", 1, 8),
+    ("cyclic(8", "expected ')', got 'end of input'", 1, 9),
+    ("cyclic(8 9)", "expected ')', got '9'", 1, 10),
+    ("sym(4", "expected ')', got 'end of input'", 1, 6),
+    ("alt(5 ", "expected ')', got 'end of input'", 1, 7),
+    ("dihedral(6,", "expected ')', got ','", 1, 11),
+    ("perm(3 (1 2))", "expected ')', got '('", 1, 8),
+    ("perm(3, (1 2)", "expected ')', got 'end of input'", 1, 14),
+    ("perm(3, (1 2) 4)", "expected ')', got '4'", 1, 15),
+    ("direct(sym(3) sym(3))", "expected ',', got 's'", 1, 15),
+    ("direct(sym(3)", "expected ',', got 'end of input'", 1, 14),
+    ("direct(sym(3), sym(3)", "expected ')', got 'end of input'", 1, 22),
+    ("wreath(cyclic(2) 2, cyclic(2))", "expected ',', got '2'", 1, 18),
+    ("wreath(cyclic(2), 2 cyclic(2))", "expected ',', got 'c'", 1, 21),
+    ("wreath(cyclic(2), 2, cyclic(2)", "expected ')', got 'end of input'", 1, 31),
+    ("affine(2 2)", "expected ',', got '2'", 1, 10),
+    ("affine(2, 2 [[1]])", "expected ')', got '['", 1, 13),
+    ("affine(2, 2, [[1]]", "expected ')', got 'end of input'", 1, 19),
+    ("sylow_of(sym(4) 2)", "expected ',', got '2'", 1, 17),
+    ("sylow_of(sym(4), 2", "expected ')', got 'end of input'", 1, 19),
+    ("quotient(sym(4) sym(4))", "expected ',', got 's'", 1, 17),
+    ("quotient(sym(4), sym(4)", "expected ')', got 'end of input'", 1, 24),
+    ("cyclic(x)", "expected an integer", 1, 8),
+    ("cyclic(-)", "expected an integer", 1, 8),
+    ("cyclic(\u00b2)", "expected an integer", 1, 8),
+    ("wreath(cyclic(2), two, cyclic(2))", "expected an integer", 1, 19),
+    ("direct(3, sym(2))", f"unknown constructor '3' (expected one of {_KNOWN})", 1, 8),
+    ("direct(sym(2), foo(1))", f"unknown constructor 'foo' (expected one of {_KNOWN})", 1, 15),
+    ("sylow_of(, 2)", "expected a constructor name", 1, 10),
+    ("perm(3, 1 2)", "expected a permutation literal such as (1 2 3)(4 5)", 1, 9),
+    ("perm(3, (1 2)(1 x))", "expected a permutation literal such as (1 2 3)(4 5)", 1, 14),
+    ("perm(3, (0 1))", "cycle notation is 1-based; saw a point < 1", 1, 9),
+    ("perm(3, (1 1))", "repeated point in cycle [0, 0]", 1, 9),
+    ("perm(3, (1 2)\n  (1 x))", "expected a permutation literal such as (1 2 3)(4 5)", 2, 3),
+    ("perm(3, (1 4))", "point 4 exceeds degree 3", 1, 9),
+    ("affine(2, 2, 1)", "expected '[', got '1'", 1, 14),
+    ("affine(2, 2, [1])", "expected '[', got '1'", 1, 15),
+    ("affine(2, 2, [[1 1]])", "expected ']', got '1'", 1, 18),
+    ("affine(2, 2, [[1, 1] [0, 1]])", "expected ']', got '['", 1, 22),
+    ("affine(2, 2, [[1,]])", "expected an integer", 1, 18),
+    ("affine(2, 2, [[1, 1],])", "expected '[', got ']'", 1, 22),
+    ("affine(2, 2, [[1, 1]], )", "expected '[', got ')'", 1, 24),
+    ("cyclic(8) trailing", "unexpected trailing input 'trailing'", 1, 11),
+    ("cyclic(8))", "unexpected trailing input ')'", 1, 10),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", ERROR_SITES)
+def test_each_error_site_reports_its_message_and_position(text, message, line, column):
+    with pytest.raises(SpecError) as err:
+        build_group(parse_spec(text))
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_malformed_permutation_literals_raise_spec_errors():
@@ -302,6 +365,44 @@ def test_exit_code_2_on_cap():
     diag = json.loads(err)
     assert diag["error"] == "cap"
     assert "degree" in diag["message"]
+
+
+def _record_permutation_degrees(monkeypatch):
+    """The degree of every Permutation built from now on."""
+    degrees, init = [], Permutation.__init__
+
+    def recording(self, images):
+        images = tuple(images)
+        degrees.append(len(images))
+        init(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", recording)
+    return degrees
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda caps: PermGroup.alternating(100, caps=caps),
+        lambda caps: PermGroup.symmetric(100, caps=caps),
+        lambda caps: PermGroup.cyclic(100, caps=caps),
+        lambda caps: PermGroup.dihedral(100, caps=caps),
+        lambda caps: build_group(parse_spec("perm(100, (1 2))"), caps),
+    ],
+    ids=["alt", "sym", "cyclic", "dihedral", "perm"],
+)
+def test_degree_cap_is_checked_before_a_permutation_of_that_degree_is_built(monkeypatch, make):
+    degrees = _record_permutation_degrees(monkeypatch)
+    with pytest.raises(CapExceeded):
+        make(Caps(degree=8))
+    assert max(degrees, default=0) <= 8
+
+
+def test_literal_beyond_the_declared_degree_is_refused_before_it_is_built(monkeypatch):
+    degrees = _record_permutation_degrees(monkeypatch)
+    with pytest.raises(SpecError, match=r"point 100 exceeds degree 3 \(line 1, column 9\)"):
+        parse_spec("perm(3, (1 100))")
+    assert max(degrees, default=0) <= 3
 
 
 def test_exit_code_2_on_order_cap_before_fusion_walks():
