@@ -36,5 +36,16 @@ class Caps:
         if needed > limit:
             raise CapExceeded(cap_name, limit, needed)
 
+    def check_power(self, cap_name: str, p: int, d: int, message: str | None = None) -> int:
+        """p**d for p >= 2, after checking it against the cap; refused, as the
+        text ``p^d``, without being formed once d reaches the limit's bit
+        length, as p**d >= 2**d exceeds the limit then (and its digits could
+        pass the length Python converts to a string)."""
+        limit = getattr(self, cap_name)
+        power = p**d if d < limit.bit_length() else None
+        if power is None or power > limit:
+            raise CapExceeded(cap_name, limit, f"{p}^{d}", message)
+        return power
+
 
 DEFAULT_CAPS = Caps()

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .arith import p_valuation, prime_factors
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
-    _BRUTE_SEARCH_LIMIT,
     NotASubgroup,
     PermGroup,
     _conjugation_walk,
@@ -60,14 +59,7 @@ class FusionTable:
     fusion_class_of: list = field(default_factory=list)  # class id -> fusion class id
     fully_normalized: list = field(default_factory=list)  # per fusion class: subgroup id
     automizers: list = field(default_factory=list)  # per s-class
-    _normalizers: dict = field(default_factory=dict, init=False, repr=False)  # subgroup id -> N_G(P)
-
-    def ambient_normalizer(self, sid: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-        """N_G(P) for the subgroup with id ``sid``, computed once per table
-        (:func:`_fuse` stores those it reads off its walks)."""
-        if sid not in self._normalizers:
-            self._normalizers[sid] = normalizer(self.ambient, self.subgroups[sid], caps=caps)
-        return self._normalizers[sid]
+    normalizers: list = field(default_factory=list)  # per s-class: N_G(P) of its representative P
 
     def fused(self, i: int, j: int) -> bool:
         return self.fusion_class_of[i] == self.fusion_class_of[j]
@@ -127,30 +119,23 @@ def _automizer(P: PermGroup, N: PermGroup, caps: Caps) -> Automizer:
 
 
 def _fuse(G: PermGroup, table: FusionTable, caps: Caps) -> FusionTable:
-    """Complete a skeleton: fusion witnesses, fully normalized representatives,
-    and automizers.
+    """Complete a skeleton: fusion witnesses, normalizers, fully normalized
+    representatives, and automizers.
 
-    For G of at most ``_BRUTE_SEARCH_LIMIT`` elements, one full conjugation
-    walk from each nontrivial S-class representative P gives both its
-    witnesses to the later representatives it is fused with and N_G(P), by
-    orbit-stabilizer; the walk is dropped once both are taken. Above the
-    limit N_G(P) comes from sympy, and the walk stops once it has found the
-    later representatives of P's order.
+    One full conjugation walk from each nontrivial S-class representative P
+    gives both its witnesses to the later representatives it is fused with
+    and N_G(P), by orbit-stabilizer (:func:`_orbit_normalizer`), at every
+    order of G; the walk is dropped once both are taken.
     """
     reps = [table.subgroups[c.rep_id] for c in table.s_classes]
     sets = [H.element_set() for H in reps]
-    small = G.order <= _BRUTE_SEARCH_LIMIT
     k = len(reps)
+    table.normalizers = [G] * k
     for i, H in enumerate(reps):
         if H.is_trivial():  # the only subgroup of its order, and N_G(1) = G
             continue
         later = [j for j in range(i + 1, k) if reps[j].order == H.order]
-        if small:
-            walked, table._normalizers[table.s_classes[i].rep_id] = _orbit_normalizer(G, H, caps)
-        elif later:
-            walked = _conjugation_walk(G, H, [sets[j] for j in later], caps=caps)
-        else:
-            continue
+        walked, table.normalizers[i] = _orbit_normalizer(G, H, caps)
         for j in later:
             w = walked.get(sets[j])
             if w is not None:
@@ -173,13 +158,9 @@ def _fuse(G: PermGroup, table: FusionTable, caps: Caps) -> FusionTable:
         best_norm = table.sylow.order // len(table.s_classes[smallest].member_ids)
         table.fully_normalized.append(best)
         # Sylow's theorem guarantees some conjugate has N_S(P) Sylow in N_G(P)
-        ng = table.ambient_normalizer(best, caps=caps)
-        if p_valuation(ng.order, table.p) != p_valuation(best_norm, table.p):
+        if p_valuation(table.normalizers[smallest].order, table.p) != p_valuation(best_norm, table.p):
             raise AssertionError("no fully normalized representative found")
-    table.automizers = [
-        _automizer(table.subgroups[c.rep_id], table.ambient_normalizer(c.rep_id, caps=caps), caps)
-        for c in table.s_classes
-    ]
+    table.automizers = [_automizer(P, N, caps) for P, N in zip(reps, table.normalizers)]
     return table
 
 
@@ -237,7 +218,7 @@ def alperin_closure_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, table
     locals_sources.add(by_mask[full])
     for rid in sorted(locals_sources):
         fcls = table.fusion_class_of[table.class_of_subgroup[rid]]
-        N = table.ambient_normalizer(rid, caps=caps)
+        N = table.normalizers[table.class_of_subgroup[rid]]
         for gi, n in enumerate(N.generators):
             perm = induced(n, masks[rid])
             for qid, q in enumerate(masks):

@@ -2,19 +2,18 @@
 
 The chain (Schreier-Sims) certifies order and membership; base points are
 always the first moved point not yet fixed, so construction is deterministic
-for identical input. Centralizers, normalizers and Sylow subgroups of
-groups of order at most ``_BRUTE_SEARCH_LIMIT`` are computed here.
-Centralizers, normalizers and intersections end in one element filter
-(:func:`_subgroup_where`): the elements of G's element list that pass, in
-that order, grow one chain, so the generators depend only on that list.
-Centralizers and intersections test each element directly. A normalizer
-N_G(H) is found first by orbit-stabilizer on the breadth-first walk over
-H's conjugates (:func:`_conjugation_walk`, :func:`_orbit_normalizer`), and
-the filter only looks elements up in N's element set. Sylow subgroups are
-grown from the p-elements (:func:`_grow_sylow`). Above the limit all three
-are delegated to sympy.combinatorics's backtrack searches through
-:func:`_backend`, with sympy's random generator seeded to a fixed value so
-that its answers repeat from run to run. sympy is imported only then.
+for identical input. A normalizer N_G(H) is read off the breadth-first walk
+over H's conjugates by orbit-stabilizer at every size
+(:func:`_conjugation_walk`, :func:`_orbit_normalizer`), and G's elements
+are never listed for it. Centralizers and intersections filter G's element
+list (:func:`_subgroup_where`). All three keep their elements in the order
+of the searched group's element list and take greedy generators from them
+(:func:`_subgroup_of`), so the generators depend only on that order. Sylow
+subgroups are grown from the p-elements (:func:`_grow_sylow`). Above
+``_BRUTE_SEARCH_LIMIT`` elements, centralizers and Sylow subgroups are
+delegated to sympy.combinatorics through :func:`_backend`, with sympy's
+random generator seeded to a fixed value so that its answers repeat from
+run to run. sympy is imported only then.
 
 Conjugation walks (the orbit of a subgroup under G, which fusion, the
 automizers and the normalizers read) step on element indices, not image
@@ -631,33 +630,17 @@ def center(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 
 def normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """N_G(H); requires H <= G.
-
-    At or below ``_BRUTE_SEARCH_LIMIT`` elements it is read off the G-orbit of
-    H by :func:`_orbit_normalizer`; above, sympy's backtrack search finds it.
-    """
+    """N_G(H); requires H <= G. It is read off the G-orbit of H by
+    :func:`_orbit_normalizer`, at every order of G."""
     if not H.is_subgroup_of(G):
         raise NotASubgroup("normalizer requires H <= G")
     if H.is_trivial():
         return G
-    if G.order <= _BRUTE_SEARCH_LIMIT:
-        return _orbit_normalizer(G, H, caps)[1]
-    hgens = [g.images for g in H.generators]
-    sG = G.to_sympy()
-    chain = H.chain
-
-    def prop(sg):
-        arr = sg.array_form
-        arr = tuple(arr + list(range(len(arr), G.degree)))
-        arr_inv = _inverse(arr)
-        return all(chain.contains(_conj(x, arr, arr_inv)) for x in hgens)
-
-    return G._from_sympy(_backend(sG, "subgroup_search", prop), caps)
+    return _orbit_normalizer(G, H, caps)[1]
 
 
 def _orbit_normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """The full conjugation walk of a nontrivial H <= G, and N_G(H) read off
-    it, for G of at most ``_BRUTE_SEARCH_LIMIT`` elements.
+    """The full conjugation walk of a nontrivial H <= G, and N_G(H) read off it.
 
     N_G(H) is the stabilizer of H's element set in G's action on the orbit,
     so |N| = |G| / |orbit|, and for the walk's witnesses w the Schreier
@@ -666,13 +649,13 @@ def _orbit_normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS):
     edges give the identity, so one chain, seeded with H's generators, takes
     the walk's non-tree edges, as (node id, generator index, node id), in
     walk order until it has order |N|; only the witnesses of the edges it
-    takes are formed. The answer is then the elements of
-    ``G.element_tuples()`` in N's element set, through
-    :func:`_subgroup_where`, so its element list and generators are those of
-    the element filter. Returns ``(walk, N)``, the walk as
+    takes are formed. N's elements, checked against ``caps.order_enum``, are
+    then sorted into their order in ``G.element_tuples()``, read off G's chain
+    (:func:`_element_position`), and given greedy generators by
+    :func:`_subgroup_of`, so N is the group the element filter would give,
+    and G's elements are never listed. Returns ``(walk, N)``, the walk as
     :func:`_conjugation_walk` gives it.
     """
-    caps.check("order_enum", G.order)
     edges = []
     walked = _conjugation_walk(G, H, caps=caps, edges=edges)
     order = G.order // len(walked)
@@ -684,8 +667,32 @@ def _orbit_normalizer(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS):
         chain.extend(_compose(_compose(walked.witness(n), gens[k]), _inverse(walked.witness(m))))
     if chain.order != order:
         raise AssertionError("Schreier elements do not generate the stabilizer")
-    members = frozenset(chain.element_tuples())
-    return walked, _subgroup_where(G, members.__contains__, caps)
+    caps.check("order_enum", order)
+    return walked, _subgroup_of(G.degree, sorted(chain.element_tuples(), key=_element_position(G.chain)), caps)
+
+
+def _element_position(chain: StabilizerChain):
+    """The index of an element of the chain's group in ``chain.element_tuples()``.
+
+    That list multiplies the transversals with level 0 outermost, so an
+    element x = u_k ... u_1 u_0 (u_i in level i's transversal, u_0 applied
+    last) sits at the mixed-radix number whose digit i is u_i's place in
+    level i's orbit order. Sifting reads the digits off: u_0 is the
+    representative of x's image of ``base[0]``, and x u_0^-1 lies deeper.
+    """
+    levels = [
+        (b, {p: i for i, p in enumerate(t)}, inv) for b, t, inv in zip(chain.base, chain.transversals, chain.inverses)
+    ]
+
+    def position(x):
+        n = 0
+        for b, place, inv in levels:
+            p = x[b]
+            n = n * len(place) + place[p]
+            x = _compose(x, inv[p])
+        return n
+
+    return position
 
 
 def sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -785,19 +792,22 @@ def _generated(degree, gens, candidates, caps: Caps = DEFAULT_CAPS) -> PermGroup
 
 
 def _subgroup_where(G: PermGroup, test, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """The subgroup of the elements e of G, as image tuples, with ``test(e)`` true.
-
-    The elements that pass must form a subgroup. They are kept in
-    ``G.element_tuples()`` order as the new group's element list, and each
-    one that extends the one growing chain before it holds them all becomes
-    a generator, so the generators depend only on G's element order and the test.
-    """
+    """The subgroup of the elements e of G, as image tuples, with ``test(e)``
+    true, kept in ``G.element_tuples()`` order (:func:`_subgroup_of`). The
+    elements that pass must form a subgroup."""
     caps.check("order_enum", G.order)
-    chain = StabilizerChain(G.degree, [])
-    kept = [e for e in G.element_tuples() if test(e)]
-    gens = [e for e in takewhile(lambda _: chain.order < len(kept), kept) if chain.extend(e)]
-    H = PermGroup(G.degree, gens, caps=caps)
-    H._chain, H._elements = chain, kept
+    return _subgroup_of(G.degree, [e for e in G.element_tuples() if test(e)], caps)
+
+
+def _subgroup_of(degree, elements, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """The group whose element list is the list ``elements`` of image tuples,
+    which must form a subgroup. Each one that extends the one growing chain
+    before it holds them all becomes a generator, so the generators depend
+    only on the order of ``elements``."""
+    chain = StabilizerChain(degree, [])
+    gens = [e for e in takewhile(lambda _: chain.order < len(elements), elements) if chain.extend(e)]
+    H = PermGroup(degree, gens, caps=caps)
+    H._chain, H._elements = chain, elements
     return H
 
 
@@ -999,8 +1009,7 @@ def affine_semidirect(p: int, d: int, mats, caps: Caps = DEFAULT_CAPS) -> PermGr
         raise ValueError(f"{p} is not prime")
     if d < 0:
         raise ValueError(f"dimension {d} is negative")
-    degree = p**d
-    caps.check("degree", degree)
+    degree = caps.check_power("degree", p, d)
 
     def to_vec(point):
         v = []

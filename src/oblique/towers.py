@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime, legendre_factorial_valuation
-from .caps import DEFAULT_CAPS, Caps, CapExceeded
+from .caps import DEFAULT_CAPS, Caps
 from .group import PermGroup, affine_semidirect, wreath_imprimitive
 from .hom import GroupHom
 from .lattice import _class_seeds, _fitting_mask, _ob_core, _size, ob_function
@@ -47,7 +47,7 @@ def cyclic_tower(p: int, depth: int, caps: Caps = DEFAULT_CAPS) -> Tower:
         raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    caps.check("degree", p**depth)
+    caps.check_power("degree", p, depth)
     levels = [PermGroup.cyclic(p**i, caps=caps) for i in range(1, depth + 1)]
     maps = []
     for i in range(depth - 1):
@@ -66,7 +66,7 @@ def wreath_tower(p: int, depth: int, caps: Caps = DEFAULT_CAPS) -> Tower:
         raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    caps.check("degree", p**depth)
+    caps.check_power("degree", p, depth)
     levels = [PermGroup.cyclic(p, caps=caps)]
     maps = []
     for k in range(2, depth + 1):
@@ -116,17 +116,8 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
     for i in range(1, depth):
         prev = levels[-1]
         p = primes[i]
-        attempted = p**prev.degree
-        if attempted > caps.degree:
-            raise CapExceeded(
-                "degree",
-                caps.degree,
-                attempted,
-                message=(
-                    f"fitting_degenerate_tower level {i + 1} needs degree "
-                    f"{p}^{prev.degree} = {attempted}, above the degree cap {caps.degree}"
-                ),
-            )
+        needs = f"fitting_degenerate_tower level {i + 1} needs degree {p}^{prev.degree}"
+        caps.check_power("degree", p, prev.degree, f"{needs}, above the degree cap {caps.degree}")
         G = affine_semidirect(p, prev.degree, _permutation_matrices(prev, p), caps=caps)
         # generators: deg(prev) translations, then one matrix generator per
         # generator of the previous level; the map kills the translations

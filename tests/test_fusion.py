@@ -160,8 +160,8 @@ def test_one_g_walk_per_representative_serves_fusion_and_normalizers(monkeypatch
     reps = [table.subgroups[c.rep_id] for c in table.s_classes]
     assert len(walks) == len(set(walks)) == len(reps) - 1 == 26
     assert set(walks) == {P.element_set() for P in reps if not P.is_trivial()}
-    # the normalizers filter G's one cached element list, and nothing else
-    # enumerates as many elements
+    # the Sylow search lists G's elements once, the normalizers never do, and
+    # nothing else enumerates as many elements
     assert enumerated.count(G.order) == 1 and max(enumerated) == G.order
     assert G._table is None
 

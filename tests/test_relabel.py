@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oblique.fusion
 import oblique.group
 from oblique import Permutation, build_group, parse_spec
 from oblique.arith import prime_factors
@@ -94,6 +93,5 @@ def test_report_invariants_survive_relabelling(groups, data):
 )
 def test_search_paths_agree_across_the_brute_search_limit(monkeypatch, cmd, spec, p):
     brute = _fields(cmd, spec, p)
-    for module in (oblique.group, oblique.fusion):
-        monkeypatch.setattr(module, "_BRUTE_SEARCH_LIMIT", 1)
+    monkeypatch.setattr(oblique.group, "_BRUTE_SEARCH_LIMIT", 1)
     assert _fields(cmd, spec, p) == brute

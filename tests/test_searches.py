@@ -4,12 +4,12 @@ raw-tuple oracles.
 The conjugation walk steps on element indices; a walk on image tuples kept
 here is its reference.
 
-Groups of order at most 5000 are searched by filtering their element list
-(a normalizer is found on the conjugation walk first, and the filter looks
-elements up in it). Besides the element set, each answer's generators must
-be the greedy sequence over ``G.element_tuples()``: every passing element
-that is not generated by the ones kept before it. Report bytes depend on
-that sequence.
+Centralizers and intersections of groups of order at most 5000 filter the
+group's element list. A normalizer is read off the conjugation walk at every
+order, and its elements are sorted into G's element order without listing
+G. Besides the element set, each answer's generators must be the greedy
+sequence over ``G.element_tuples()``: every passing element that is not
+generated by the ones kept before it. Report bytes depend on that sequence.
 Hypothesis draws groups on at most 7 points; ``derandomize=True`` makes every
 run draw the same examples.
 """
@@ -123,6 +123,40 @@ def test_searches_match_set_oracles_on_corpus(corpus):
                 assert_filtered(normalizer(G, Q), G, lambda e: all(_conj(q, e) in q_elems for q in q_gens))
 
 
+S7_SUBGROUPS = [
+    ["(1 2)"],
+    ["(1 2 3)"],
+    ["(1 2)(3 4)", "(1 3)(2 4)"],
+    ["(1 2 3 4)", "(1 3)"],
+    ["(1 2 3)", "(3 4 5)"],
+    ["(1 2 3 4 5 6 7)"],
+    ["(1 2)(3 4 5)", "(6 7)"],
+]
+
+
+def test_normalizers_above_the_search_limit_are_those_of_the_element_filter(monkeypatch):
+    """S7 has more than ``_BRUTE_SEARCH_LIMIT`` elements; its normalizers are
+    still read off the conjugation walk, with no sympy call and without listing
+    S7, and have the element filter's element list and greedy generators."""
+    calls = []
+    monkeypatch.setattr(group, "_backend", lambda *args: calls.append(args))
+    G = PermGroup.symmetric(7)
+    assert G.order > group._BRUTE_SEARCH_LIMIT
+    found = []
+    for cycles in S7_SUBGROUPS:
+        h_gens = [Permutation.parse(c, 7).images for c in cycles]
+        found.append((normalizer(G, PermGroup(7, [Permutation(h) for h in h_gens])), h_gens))
+    assert calls == [] and G._elements is None
+    for N, h_gens in found:
+        h_elems = brute_closure(7, h_gens)
+
+        def passing(e):
+            return all(_conj(h, e) in h_elems for h in h_gens)
+
+        assert N.element_tuples() == [e for e in G.element_tuples() if passing(e)]
+        assert_filtered(N, G, passing)
+
+
 def test_element_filter_generators_are_those_of_extending_by_every_element(corpus):
     """The element filter stops extending its chain once the chain holds every
     kept element; the generators are still those of extending it by each kept
@@ -137,18 +171,22 @@ def test_element_filter_generators_are_those_of_extending_by_every_element(corpu
                 assert [g.images for g in found.generators] == [e for e in found._elements if chain.extend(e)], name
 
 
-def test_normalizer_checks_the_enumeration_cap_before_walking(monkeypatch):
+def test_normalizer_lists_no_element_of_g_and_caps_the_elements_of_n(monkeypatch):
+    def H():
+        return PermGroup(6, [Permutation.parse("(1 2)", 6)])
+
     G = PermGroup.symmetric(6)
-    H = PermGroup(6, [Permutation.parse("(1 2)", 6)])
-    walks = []
-    monkeypatch.setattr(group, "_conjugation_walk", lambda *args, **kwargs: walks.append(args))
-    try:
-        normalizer(G, H, Caps(order_enum=719))
-    except CapExceeded as err:
-        assert str(err) == "cap order_enum=719 exceeded (needed 720)"
-    else:
-        raise AssertionError("no CapExceeded")
-    assert walks == []
+    assert normalizer(G, H()).order == 48 and G._elements is None
+    # the cap is checked against |N| once the walk has found it, before N's
+    # elements are listed
+    listed, element_tuples = [], group.StabilizerChain.element_tuples
+    monkeypatch.setattr(
+        group.StabilizerChain, "element_tuples", lambda chain: listed.append(chain.order) or element_tuples(chain)
+    )
+    with pytest.raises(CapExceeded) as err:
+        normalizer(PermGroup.symmetric(6), H(), Caps(order_enum=47))
+    assert str(err.value) == "cap order_enum=47 exceeded (needed 48)"
+    assert listed == [2]  # H's elements, for the walk
 
 
 # ---------------------------------------------------------------------------

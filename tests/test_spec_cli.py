@@ -367,6 +367,26 @@ def test_exit_code_2_on_cap():
     assert "degree" in diag["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, power",
+    [
+        (("invariants", "affine(3, 100000)"), "3^100000"),
+        (("tower", "--family", "cyclic", "--params", "2,100000"), "2^100000"),
+        (("tower", "--family", "wreath", "--params", "2,100000"), "2^100000"),
+        (("tower", "--family", "fitting", "--params", "2,61,101"), "101^3721"),
+        (("tower", "--family", "fitting", "--params", "2,61,2"), "2^3721"),
+    ],
+)
+def test_degree_cap_refuses_a_huge_power_unformed(argv, power):
+    """A degree p^d whose exponent reaches the cap's bit length is refused
+    before p^d is formed, and named as the text p^d, not as a number of
+    hundreds of digits (or more than Python converts to a string)."""
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 200
+    diag = json.loads(err)
+    assert diag["error"] == "cap" and power in diag["message"] and "Traceback" not in err
+
+
 def _record_permutation_degrees(monkeypatch):
     """The degree of every Permutation built from now on."""
     degrees, init = [], Permutation.__init__
@@ -539,6 +559,7 @@ def test_importing_the_cli_loads_neither_numpy_nor_sympy():
     [
         ("fusion", "direct(alt(4),sym(4))", "--p", "2"),  # in-house Sylow
         ("fusion", "direct(sym(5),sym(5))", "--p", "3"),  # order 14400: sympy Sylow
+        ("fusion", "sym(7)", "--p", "2", "--alperin"),  # order 5040: normalizers by orbit-stabilizer
     ],
 )
 def test_fusion_report_bytes_repeat_across_processes(argv):
