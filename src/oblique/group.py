@@ -183,6 +183,29 @@ class StabilizerChain:
             elems = [_compose(e, u) for u in t.values() for e in elems]
         return elems
 
+    def cut(self, k):
+        """This chain restricted to the points below k, as a chain on k points.
+
+        The caller guarantees that the group maps the points below k among
+        themselves and that every base point is below k. An element fixing
+        those points then fixes the base, so it is the identity: restriction
+        is injective, and every step of the construction (residue tests,
+        ``u == t[q]``, first moved points) reads the same on restrictions. The
+        result is field for field the chain the restricted generators build.
+        """
+        out = StabilizerChain.__new__(StabilizerChain)
+        out.degree = k
+        out.base = list(self.base)
+        out.transversals = [{p: u[:k] for p, u in t.items()} for t in self.transversals]
+        out.inverses = [{p: u[:k] for p, u in inv.items()} for inv in self.inverses]
+        # a strong generator's pair is shared by every level it lies in; so is its cut
+        pairs = {id(pair): (pair[0][:k], pair[1][:k]) for gens in self._gens for pair in gens}
+        out._gens = [[pairs[id(pair)] for pair in gens] for gens in self._gens]
+        out._orbits = [list(orbit) for orbit in self._orbits]
+        out._paired = [list(paired) for paired in self._paired]
+        out._ident = self._ident[:k]
+        return out
+
 
 class PermGroup:
     """A finite permutation group given by generators, with a verified chain.
@@ -1010,32 +1033,19 @@ def affine_semidirect(p: int, d: int, mats, caps: Caps = DEFAULT_CAPS) -> PermGr
     if d < 0:
         raise ValueError(f"dimension {d} is negative")
     degree = caps.check_power("degree", p, d)
-
-    def to_vec(point):
-        v = []
-        for _ in range(d):
-            v.append(point % p)
-            point //= p
-        return v
-
-    def to_point(v):
-        return sum((v[i] % p) * p**i for i in range(d))
+    weights = [p**i for i in range(d)]
+    vecs = [v[::-1] for v in product(range(p), repeat=d)]  # vecs[pt]: pt's coordinates, v[0] first
 
     gens = []
-    for i in range(d):
-        images = []
-        for pt in range(degree):
-            v = to_vec(pt)
-            v[i] = (v[i] + 1) % p
-            images.append(to_point(v))
-        gens.append(Permutation(images))
+    for i, w in enumerate(weights):
+        # adding e_i carries nothing: coordinate i wraps from p - 1 to 0
+        gens.append(Permutation([pt + w if v[i] < p - 1 else pt - (p - 1) * w for pt, v in enumerate(vecs)]))
     for mat in mats:
         if len(mat) != d or any(len(row) != d for row in mat):
             raise ValueError(f"matrix is not {d}x{d}: {mat}")
-        images = []
-        for pt in range(degree):
-            v = to_vec(pt)
-            images.append(to_point([sum(mat[r][c] * v[c] for c in range(d)) % p for r in range(d)]))
+        images = [
+            sum(sum(a * x for a, x in zip(row, v)) % p * w for row, w in zip(mat, weights)) for v in vecs
+        ]
         # a linear map of F_p^d is invertible iff it permutes the p^d vectors
         if len(set(images)) != degree:
             raise ValueError(f"singular matrix over F_{p}: {mat}")

@@ -1,10 +1,17 @@
 """Homomorphisms between permutation groups, given by generator images.
 
-A map is certified at construction time: the pairs (g_i, phi(g_i)) generate a
-subgroup of the direct product whose order equals |domain| exactly when the
-generator assignment extends to a homomorphism. ``apply`` sifts through the
-chain of that pair group; ``kernel``, ``lift`` and ``preimage_group`` read a
-second chain of it whose base starts on the codomain points.
+A map is certified at construction time. The pairs (g_i, phi(g_i)) generate
+the graph, a subgroup of the direct product; its kernel K = {(1, y)} onto the
+domain is trivial exactly when the generator assignment extends to a
+homomorphism. The graph's chain is complete, so only the identity fixes its
+base pointwise, and K fixes every domain point: K is trivial exactly when
+every base point is a domain point. The graph is then isomorphic to the
+domain, and each step of the deterministic Schreier-Sims run on the graph
+projects onto the run on the domain's own generators, so the graph's chain
+cut to the domain points is the domain's chain, which is built no second
+time. ``apply`` sifts through the graph's chain; ``kernel``, ``lift`` and
+``preimage_group`` read a second chain of it whose base starts on the
+codomain points.
 """
 
 from __future__ import annotations
@@ -41,18 +48,26 @@ class GroupHom:
             g.images + tuple(domain.degree + p for p in y.images)
             for g, y in zip(domain.generators, images)
         ]
-        # Certificate: the graph of the map must have order |domain|.
-        # Base points are first moved points, and every non-identity element of a
-        # graph moves a domain point, so ``apply`` meets domain base points only.
+        # Certificate: the graph's kernel onto the domain fixes every domain
+        # point, so it is trivial exactly when every base point is a domain
+        # point (only the identity fixes the base of a complete chain). Base
+        # points are first moved points, so ``apply`` meets domain base points
+        # only. A domain chain built earlier is kept, and the orders are
+        # compared instead; on failure the order comparison gives the message.
+        dG = domain.degree
         self._dom_chain = StabilizerChain(self._pair_degree, self._pairs)
-        if self._dom_chain.order != domain.order:
+        if domain._chain is None and all(b < dG for b in self._dom_chain.base):
+            domain._chain = self._dom_chain.cut(dG)
+        elif self._dom_chain.order != domain.order:
             raise NotAHomomorphism(
                 f"generator images do not define a homomorphism "
                 f"(graph order {self._dom_chain.order} != domain order {domain.order})"
             )
+        self._dom_ident, self._cod_ident = tuple(range(dG)), tuple(range(dG, self._pair_degree))
         self._cod_chain = None
         self._image = None
         self._kernel = None
+        self._classes = None  # towers._preimage: the codomain class of each domain class representative's image
         self._caps = caps
 
     # -- internal chains -----------------------------------------------------
@@ -69,17 +84,22 @@ class GroupHom:
 
     # -- queries ---------------------------------------------------------------
 
-    def apply(self, x: Permutation) -> Permutation:
-        """phi(x); raises if x is not in the domain. Sifting (x, 1) through the
-        graph leaves (x g^-1, phi(g)^-1) for some g in the domain; its domain
-        part is the identity exactly when x is in the domain, and then g = x."""
+    def _image_tuple(self, x):
+        """phi(x) for the image tuple x; raises if x is not in the domain.
+        Sifting (x, 1) through the graph leaves (x g^-1, phi(g)^-1) for some g
+        in the domain; its domain part is the identity exactly when x is in
+        the domain, and then g = x."""
         dG = self.domain.degree
-        if x.degree != dG:
+        residue = self._dom_chain._strip(x + self._cod_ident)[0]
+        if residue[:dG] != self._dom_ident:
+            raise NotASubgroup(f"element {Permutation(x)} is not in the domain")
+        return _inverse(tuple(q - dG for q in residue[dG:]))
+
+    def apply(self, x: Permutation) -> Permutation:
+        """phi(x); raises if x is not in the domain."""
+        if x.degree != self.domain.degree:
             raise NotASubgroup("element degree does not match the domain")
-        residue = self._dom_chain._strip(x.images + tuple(range(dG, self._pair_degree)))[0]
-        if residue[:dG] != tuple(range(dG)):
-            raise NotASubgroup(f"element {x} is not in the domain")
-        return Permutation(_inverse(tuple(q - dG for q in residue[dG:])))
+        return Permutation(self._image_tuple(x.images))
 
     def image(self) -> PermGroup:
         if self._image is None:

@@ -112,12 +112,14 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
         if a == b:
             raise ValueError("consecutive primes must be distinct (the action must be coprime-free)")
     levels = [PermGroup.cyclic(primes[0], caps=caps)]
-    maps = []
+    # every level's degree follows from the primes: check them all before building
+    degree = primes[0]
     for i in range(1, depth):
+        needs = f"fitting_degenerate_tower level {i + 1} needs degree {primes[i]}^{degree}"
+        degree = caps.check_power("degree", primes[i], degree, f"{needs}, above the degree cap {caps.degree}")
+    maps = []
+    for p in primes[1:depth]:
         prev = levels[-1]
-        p = primes[i]
-        needs = f"fitting_degenerate_tower level {i + 1} needs degree {p}^{prev.degree}"
-        caps.check_power("degree", p, prev.degree, f"{needs}, above the degree cap {caps.degree}")
         G = affine_semidirect(p, prev.degree, _permutation_matrices(prev, p), caps=caps)
         # generators: deg(prev) translations, then one matrix generator per
         # generator of the previous level; the map kills the translations
@@ -129,10 +131,14 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
 
 def _preimage(hom: GroupHom, mask: int, caps: Caps) -> int:
     """The class mask of the full preimage under ``hom`` of the normal subgroup of
-    its codomain with class mask ``mask``: the classes whose representative maps into it."""
-    class_of = _class_seeds(hom.codomain, caps=caps)[0].class_of
-    images = (hom.apply(Permutation(rep)).images for rep in _class_seeds(hom.domain, caps=caps)[0].reps)
-    return sum(1 << c for c, y in enumerate(images) if mask >> class_of(y) & 1)
+    its codomain with class mask ``mask``: the classes whose representative maps
+    into it. Each representative is mapped down once per map, and the class of
+    its image is kept on the map."""
+    if hom._classes is None:
+        class_of = _class_seeds(hom.codomain, caps=caps)[0].class_of
+        reps = _class_seeds(hom.domain, caps=caps)[0].reps
+        hom._classes = [class_of(hom._image_tuple(rep)) for rep in reps]
+    return sum(1 << c for c, k in enumerate(hom._classes) if mask >> k & 1)
 
 
 def tower_ob_sequence(tower: Tower, n: int, caps: Caps = DEFAULT_CAPS):

@@ -275,6 +275,78 @@ def test_affine_rejects_singular_matrix():
         affine_semidirect(2, 2, [[[1, 1], [1, 1]]])
 
 
+def reference_affine_generators(p, d, mats):
+    """The generator image tuples of affine_semidirect(p, d, mats), identities
+    dropped, by converting every point to its vector and back for every
+    generator; raises as affine_semidirect does."""
+    degree = p**d
+
+    def to_vec(point):
+        v = []
+        for _ in range(d):
+            v.append(point % p)
+            point //= p
+        return v
+
+    def to_point(v):
+        return sum((v[i] % p) * p**i for i in range(d))
+
+    gens = []
+    for i in range(d):
+        images = []
+        for pt in range(degree):
+            v = to_vec(pt)
+            v[i] = (v[i] + 1) % p
+            images.append(to_point(v))
+        gens.append(tuple(images))
+    for mat in mats:
+        if len(mat) != d or any(len(row) != d for row in mat):
+            raise ValueError(f"matrix is not {d}x{d}: {mat}")
+        images = []
+        for pt in range(degree):
+            v = to_vec(pt)
+            images.append(to_point([sum(mat[r][c] * v[c] for c in range(d)) % p for r in range(d)]))
+        if len(set(images)) != degree:
+            raise ValueError(f"singular matrix over F_{p}: {mat}")
+        gens.append(tuple(images))
+    return [g for g in gens if g != tuple(range(degree))]
+
+
+def _affine_matrices(p, d):
+    """The identity, the cycle e_i -> e_(i+1), a matrix that permutes no basis
+    (I + E_(0,d-1), or (p + 1) for d = 1) and minus a permutation matrix."""
+    identity = [[int(r == c) for c in range(d)] for r in range(d)]
+    cycle = [[int(r == (c + 1) % d) for c in range(d)] for r in range(d)]
+    shear = [[int(r == c) + int((r, c) == (0, d - 1)) for c in range(d)] for r in range(d)] if d > 1 else [[p + 1]]
+    negative = [[-x for x in row] for row in reversed(cycle)]
+    return [identity, cycle, shear, negative] if d else [identity]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_affine_generators_match_the_vector_loops(p, d):
+    mats = _affine_matrices(p, d)
+    G = affine_semidirect(p, d, mats)
+    assert G.degree == p**d
+    assert [g.images for g in G.generators] == reference_affine_generators(p, d, mats)
+    assert [g.images for g in affine_semidirect(p, d, []).generators] == reference_affine_generators(p, d, [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_affine_singular_and_misshapen_matrices_raise_as_before(p, d):
+    zero_row = [[0] * d] + [[int(r == c) for c in range(d)] for r in range(1, d)]
+    multiple = [[p] * d] + _affine_matrices(p, d)[0][1:]  # first row is p times (1, ..., 1): zero mod p
+    misshapen = [[1] * (d + 1)] * d
+    for bad in (zero_row, multiple, misshapen):
+        mats = [_affine_matrices(p, d)[1], bad]
+        with pytest.raises(ValueError) as expected:
+            reference_affine_generators(p, d, mats)
+        with pytest.raises(ValueError) as got:
+            affine_semidirect(p, d, mats)
+        assert str(got.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------------------
 # intersections and conjugacy of subgroups
 

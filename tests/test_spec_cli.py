@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import oblique.group
+import oblique.towers
 from oblique import PermGroup, SpecError, build_group, parse_spec
 from oblique.caps import DEFAULT_CAPS, CapExceeded, Caps
 from oblique.cli import main
@@ -375,16 +376,21 @@ def test_exit_code_2_on_cap():
         (("tower", "--family", "wreath", "--params", "2,100000"), "2^100000"),
         (("tower", "--family", "fitting", "--params", "2,61,101"), "101^3721"),
         (("tower", "--family", "fitting", "--params", "2,61,2"), "2^3721"),
+        (("tower", "--family", "fitting", "--params", "2,3,2,3"), "level 4 needs degree 3^512"),
     ],
 )
-def test_degree_cap_refuses_a_huge_power_unformed(argv, power):
+def test_degree_cap_refuses_a_huge_power_unformed(monkeypatch, argv, power):
     """A degree p^d whose exponent reaches the cap's bit length is refused
     before p^d is formed, and named as the text p^d, not as a number of
-    hundreds of digits (or more than Python converts to a string)."""
+    hundreds of digits (or more than Python converts to a string). A Fitting
+    tower checks every level's degree before it builds any level above the head."""
+    calls, build = [], oblique.towers.affine_semidirect
+    monkeypatch.setattr(oblique.towers, "affine_semidirect", lambda *a, **k: calls.append(a) or build(*a, **k))
     code, out, err = run_cli(*argv)
     assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 200
     diag = json.loads(err)
     assert diag["error"] == "cap" and power in diag["message"] and "Traceback" not in err
+    assert calls == []
 
 
 def _record_permutation_degrees(monkeypatch):

@@ -1,5 +1,10 @@
+import io
+from collections import Counter
+
 import pytest
 
+import oblique.cli
+import oblique.towers
 from oblique import (
     CapExceeded,
     Caps,
@@ -16,7 +21,11 @@ from oblique import (
     wreath_tower,
 )
 from oblique.arith import legendre_factorial_valuation
+from oblique.cli import main
+from oblique.group import StabilizerChain
 from oblique.towers import _preimage
+
+from test_hom import chain_fields
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +172,87 @@ def test_preimage_masks_match_preimage_groups():
                 P = hom.preimage_group(N)
                 expected = sum(1 << i for i, rep in enumerate(reps) if P.contains(rep))
                 assert _preimage(hom, mask, Caps()) == expected, (t.family, N.order)
+
+
+# ---------------------------------------------------------------------------
+# each level is built once
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fitting_degenerate_tower((2, 3, 2), 3),
+        lambda: fitting_degenerate_tower((3, 5), 2),
+        lambda: fitting_degenerate_tower((7, 2), 2),
+        lambda: fitting_degenerate_tower((2, 11), 2),
+        lambda: wreath_tower(2, 4),
+        lambda: wreath_tower(3, 3),
+        lambda: cyclic_tower(3, 4),
+    ],
+    ids=["fitting-2-3-2", "fitting-3-5", "fitting-7-2", "fitting-2-11", "wreath-2-4", "wreath-3-3", "cyclic-3-4"],
+)
+def test_level_chains_equal_fresh_chains(monkeypatch, build):
+    """A level below the head gets its chain cut from its map's graph chain;
+    it is field for field the chain its own generators build."""
+    cuts, cut = [], StabilizerChain.cut
+    monkeypatch.setattr(StabilizerChain, "cut", lambda self, k: cuts.append(k) or cut(self, k))
+    t = build()
+    assert cuts == [G.degree for G in t.levels[1:]]
+    for G in t.levels:
+        fresh = StabilizerChain(G.degree, [g.images for g in G.generators])
+        assert chain_fields(G.chain) == chain_fields(fresh)
+
+
+def _run_tower(*params):
+    out = io.StringIO()
+    assert main(["tower", "--family", "fitting", "--params", *params], stdout=out, stderr=io.StringIO()) == 0
+    return out.getvalue()
+
+
+def test_fitting_tower_report_builds_no_chain_of_the_top_level_degree(monkeypatch):
+    """The degree-128 level of the (7, 2) tower gets its chain from the graph
+    of its map (degree 135); no chain of degree 128 is built from scratch."""
+    degrees, init = [], StabilizerChain.__init__
+
+    def recording(self, degree, gen_tuples, forced_prefix=None):
+        degrees.append(degree)
+        init(self, degree, gen_tuples, forced_prefix)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", recording)
+    _run_tower("7,2")
+    assert 135 in degrees and 128 not in degrees
+
+
+def test_class_representatives_go_down_once_per_map(monkeypatch):
+    """`tower --family fitting --params 3,5 --max-n 4` takes preimages through
+    its one map several times; each of level 2's class representatives is
+    sifted through the map's graph chain (degree 125 + 3) once in all."""
+    build, preimage, strip = oblique.cli.fitting_degenerate_tower, oblique.towers._preimage, StabilizerChain._strip
+    towers, sifted, inside = [], Counter(), []
+
+    def building(*args, **kwargs):
+        towers.append(build(*args, **kwargs))
+        return towers[-1]
+
+    def mapping(*args, **kwargs):
+        inside.append(True)
+        try:
+            return preimage(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recording(self, g, start=0):
+        if inside and len(g) == 128:
+            sifted[g[:125]] += 1
+        return strip(self, g, start)
+
+    monkeypatch.setattr(oblique.cli, "fitting_degenerate_tower", building)
+    monkeypatch.setattr(oblique.towers, "_preimage", mapping)
+    monkeypatch.setattr(StabilizerChain, "_strip", recording)
+    _run_tower("3,5", "--max-n", "4")
+    reps = oblique.towers._class_seeds(towers[0].levels[1])[0].reps
+    assert len(reps) == 55
+    assert sifted == Counter(reps)
 
 
 # ---------------------------------------------------------------------------
