@@ -3,15 +3,17 @@
 A map is certified at construction time. The pairs (g_i, phi(g_i)) generate
 the graph, a subgroup of the direct product; its kernel K = {(1, y)} onto the
 domain is trivial exactly when the generator assignment extends to a
-homomorphism. The graph's chain is complete, so only the identity fixes its
-base pointwise, and K fixes every domain point: K is trivial exactly when
-every base point is a domain point. The graph is then isomorphic to the
-domain, and each step of the deterministic Schreier-Sims run on the graph
-projects onto the run on the domain's own generators, so the graph's chain
-cut to the domain points is the domain's chain, which is built no second
-time. ``apply`` sifts through the graph's chain; ``kernel``, ``lift`` and
-``preimage_group`` read a second chain of it whose base starts on the
-codomain points.
+homomorphism. Every base point of the graph's chain is a domain point exactly
+when K is trivial: the chain is complete, so only the identity fixes its base
+pointwise, and K fixes every domain point; conversely, a base point at or
+above the domain degree is the first moved point of a residue that fixes
+every domain point, a nontrivial element of K. The graph is then isomorphic
+to the domain, and each step of the deterministic Schreier-Sims run on the
+graph projects onto the run on the domain's own generators, so the graph's
+chain cut to the domain points is the domain's chain; a domain without a
+chain gets that one, and is built no second time. ``apply`` sifts through
+the graph's chain; ``kernel``, ``lift`` and ``preimage_group`` read a second
+chain of it whose base starts on the codomain points.
 """
 
 from __future__ import annotations
@@ -48,26 +50,24 @@ class GroupHom:
             g.images + tuple(domain.degree + p for p in y.images)
             for g, y in zip(domain.generators, images)
         ]
-        # Certificate: the graph's kernel onto the domain fixes every domain
-        # point, so it is trivial exactly when every base point is a domain
-        # point (only the identity fixes the base of a complete chain). Base
-        # points are first moved points, so ``apply`` meets domain base points
-        # only. A domain chain built earlier is kept, and the orders are
-        # compared instead; on failure the order comparison gives the message.
+        # Certificate: every base point is a domain point exactly when the
+        # graph's kernel onto the domain is trivial (see the module
+        # docstring). Base points are first moved points, so ``apply`` meets
+        # domain base points only. The domain's chain is then the graph chain
+        # cut to the domain points; one built earlier is kept.
         dG = domain.degree
         self._dom_chain = StabilizerChain(self._pair_degree, self._pairs)
-        if domain._chain is None and all(b < dG for b in self._dom_chain.base):
-            domain._chain = self._dom_chain.cut(dG)
-        elif self._dom_chain.order != domain.order:
+        if not all(b < dG for b in self._dom_chain.base):
             raise NotAHomomorphism(
                 f"generator images do not define a homomorphism "
                 f"(graph order {self._dom_chain.order} != domain order {domain.order})"
             )
+        if domain._chain is None:
+            domain._chain = self._dom_chain.cut(dG)
         self._dom_ident, self._cod_ident = tuple(range(dG)), tuple(range(dG, self._pair_degree))
         self._cod_chain = None
         self._image = None
         self._kernel = None
-        self._classes = None  # towers._preimage: the codomain class of each domain class representative's image
         self._caps = caps
 
     # -- internal chains -----------------------------------------------------

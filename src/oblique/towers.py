@@ -9,7 +9,7 @@ whose Fitting indices grow without bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import is_prime, legendre_factorial_valuation
 from .caps import DEFAULT_CAPS, Caps
@@ -27,10 +27,13 @@ class Tower:
     maps: list
     family: str
     params: tuple
+    # per map, filled by _preimage: the codomain class of each domain class representative's image
+    _classes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.maps) != len(self.levels) - 1:
             raise ValueError("a tower needs one map per consecutive pair of levels")
+        self._classes = [None] * len(self.maps)
         for i, hom in enumerate(self.maps):
             if hom.domain is not self.levels[i + 1] or hom.codomain is not self.levels[i]:
                 raise ValueError(f"map {i} does not connect levels {i + 1} -> {i}")
@@ -129,16 +132,17 @@ def fitting_degenerate_tower(primes, depth: int, caps: Caps = DEFAULT_CAPS) -> T
     return Tower(levels, maps, "fitting-degenerate", (primes[:depth], depth))
 
 
-def _preimage(hom: GroupHom, mask: int, caps: Caps) -> int:
-    """The class mask of the full preimage under ``hom`` of the normal subgroup of
-    its codomain with class mask ``mask``: the classes whose representative maps
-    into it. Each representative is mapped down once per map, and the class of
-    its image is kept on the map."""
-    if hom._classes is None:
+def _preimage(tower: Tower, i: int, mask: int, caps: Caps) -> int:
+    """The class mask of the full preimage under ``tower.maps[i]`` of the normal
+    subgroup of its codomain with class mask ``mask``: the classes whose
+    representative maps into it. Each representative is mapped down once per
+    map, and the class of its image is kept on the tower."""
+    if tower._classes[i] is None:
+        hom = tower.maps[i]
         class_of = _class_seeds(hom.codomain, caps=caps)[0].class_of
         reps = _class_seeds(hom.domain, caps=caps)[0].reps
-        hom._classes = [class_of(hom._image_tuple(rep)) for rep in reps]
-    return sum(1 << c for c, k in enumerate(hom._classes) if mask >> k & 1)
+        tower._classes[i] = [class_of(hom._image_tuple(rep)) for rep in reps]
+    return sum(1 << c for c, k in enumerate(tower._classes[i]) if mask >> k & 1)
 
 
 def tower_ob_sequence(tower: Tower, n: int, caps: Caps = DEFAULT_CAPS):
@@ -152,7 +156,7 @@ def tower_ob_sequence(tower: Tower, n: int, caps: Caps = DEFAULT_CAPS):
     stable = False
     if len(tower.levels) >= 2 and values[-1] == values[-2]:
         prev = _ob_core(tower.levels[-2], n, caps)
-        stable = _ob_core(tower.levels[-1], n, caps) == _preimage(tower.maps[-1], prev, caps)
+        stable = _ob_core(tower.levels[-1], n, caps) == _preimage(tower, len(tower.maps) - 1, prev, caps)
     return values, stable
 
 
@@ -163,7 +167,7 @@ def tower_fitting_sequence(tower: Tower, caps: Caps = DEFAULT_CAPS):
     for i, G in enumerate(tower.levels):
         F = _fitting_mask(G, caps)
         if i:
-            F &= _preimage(tower.maps[i - 1], F_prev, caps)
+            F &= _preimage(tower, i - 1, F_prev, caps)
         indices.append(G.order // _size(_class_seeds(G)[0], F))
         F_prev = F
     return indices

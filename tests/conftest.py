@@ -16,6 +16,20 @@ def _compose(a, b):
     return tuple(b[x] for x in a)
 
 
+def chain_fields(chain):
+    """Every field of a chain, dict order included."""
+    return (
+        chain.degree,
+        chain.base,
+        [list(t.items()) for t in chain.transversals],
+        [list(inv.items()) for inv in chain.inverses],
+        chain._gens,
+        chain._orbits,
+        chain._paired,
+        chain._ident,
+    )
+
+
 def brute_closure(degree, gen_tuples):
     """All products of the generators, by plain BFS multiplication."""
     ident = tuple(range(degree))

@@ -25,7 +25,7 @@ from oblique.cli import main
 from oblique.group import StabilizerChain
 from oblique.towers import _preimage
 
-from test_hom import chain_fields
+from conftest import chain_fields
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +165,13 @@ def test_fitting_sequence_checks_the_lattice_cap_on_each_level():
 
 def test_preimage_masks_match_preimage_groups():
     for t in (wreath_tower(2, 3), fitting_degenerate_tower((2, 3), 2), cyclic_tower(3, 3)):
-        for hom in t.maps:
+        for k, hom in enumerate(t.maps):
             reps = [rep for rep, _ in conjugacy_classes(hom.domain)]
             lat = normal_lattice(hom.codomain)
             for mask, N in zip(lat._orders, lat.members):
                 P = hom.preimage_group(N)
                 expected = sum(1 << i for i, rep in enumerate(reps) if P.contains(rep))
-                assert _preimage(hom, mask, Caps()) == expected, (t.family, N.order)
+                assert _preimage(t, k, mask, Caps()) == expected, (t.family, N.order)
 
 
 # ---------------------------------------------------------------------------
