@@ -25,7 +25,7 @@ class Caps:
     degree: int = 4096          # largest permutation degree
     order_enum: int = 10**6     # largest group whose elements may be listed
     lattice: int = 10**5        # largest group for normal-lattice construction
-    ob_star: int = 2000         # largest group for full subgroup enumeration
+    ob_star: int = 2000         # largest group whose element table Ob* builds
     aut: int = 512              # largest group for automorphism search
 
     def with_overrides(self, **kwargs) -> "Caps":

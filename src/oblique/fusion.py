@@ -76,8 +76,8 @@ def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     masks over S's element table: by popcount, then set bits. As index order is
     tuple order, that is by order, then sorted elements."""
     S = sylow(G, p, caps=caps)
-    found, table = all_subgroups(S, caps=caps, cap_name="aut"), _element_table(S)
-    ranked = sorted(zip(table.masks, found), key=lambda mH: (mH[0].bit_count(), tuple(_bits(mH[0]))))
+    found, table = all_subgroups(S, caps=caps), _element_table(S)
+    ranked = sorted(found.items(), key=lambda mH: (mH[0].bit_count(), tuple(_bits(mH[0]))))
     masks, subgroups = [m for m, _ in ranked], [H for _, H in ranked]
     by_mask = {m: i for i, m in enumerate(masks)}
     assigned = {}

@@ -359,13 +359,11 @@ class PermGroup:
 class _ElementTable:
     """A small group's elements, sorted, and their indices. A subgroup is an int
     mask over them (bit i: it holds ``elements[i]``); index order is tuple order,
-    so bit 0 is the identity. ``masks`` and ``subgroups`` list every subgroup once
-    :func:`lattice.all_subgroups` has run. Nothing here refers back to the group."""
+    so bit 0 is the identity. Nothing here refers back to the group."""
 
     def __init__(self, G: PermGroup):
         self.elements = sorted(G.element_tuples())
         self.index = {t: i for i, t in enumerate(self.elements)}
-        self.masks = self.subgroups = None
 
     def mask(self, tuples) -> int:
         return sum(1 << self.index[t] for t in tuples)

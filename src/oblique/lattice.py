@@ -20,6 +20,7 @@ from .group import (
     _conjugation_walk,
     _element_table,
     _generated,
+    _subgroup_of,
     derived_series,
     derived_subgroup,
     intersection,
@@ -384,59 +385,59 @@ def oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     return intersection(H, lat.group(above), caps=caps)
 
 
-def all_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS, cap_name: str = "ob_star"):
-    """Every subgroup of G, breadth first by one-generator extensions <H, e>
-    over e in ``G.element_tuples()`` order, each with the generators of its
-    first discovery. The list is computed once and cached on G's element
-    table; the cap is checked on every call.
+def all_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> dict:
+    """Every subgroup of G, as {mask over G's element table: group}, breadth
+    first by one-generator extensions <H, e> over e in ``G.element_tuples()``
+    order, each with the generators of its first discovery. Bounded by the
+    ``aut`` cap.
 
     <H, e> is closed as a mask: the union of the right cosets Hx reached from
     He by right multiplication with the generators. An e in a right coset He'
     already tried is skipped, as <H, e> = <H, e'>.
     """
-    caps.check(cap_name, G.order)
+    caps.check("aut", G.order)
     table = _element_table(G)
-    if table.subgroups is None:
-        elems, index = table.elements, table.index
-        found, queue = {1: ()}, [1]  # found: mask -> generators, as element indices
-        for h in queue:  # grows while it is read: breadth first
-            members, gens, tried = [elems[i] for i in _bits(h)], [elems[i] for i in found[h]], h
-            for e in G.element_tuples():
-                if tried >> index[e] & 1:
-                    continue
-                he = sum(1 << index[_compose(m, e)] for m in members)
-                k, reps, k_gens, tried = h | he, [e], gens + [e], tried | he
-                for w in reps:  # grows while it is read
-                    for x in [_compose(w, g) for g in k_gens]:
-                        if not k >> index[x] & 1:
-                            k |= sum(1 << index[_compose(m, x)] for m in members)
-                            reps.append(x)
-                if k not in found:
-                    found[k] = found[h] + (index[e],)
-                    queue.append(k)
-        table.masks = list(found)
-        table.subgroups = [PermGroup(G.degree, [Permutation(elems[i]) for i in g], caps=caps) for g in found.values()]
-    return table.subgroups
+    elems, index = table.elements, table.index
+    found, queue = {1: ()}, [1]  # found: mask -> generators, as element indices
+    for h in queue:  # grows while it is read: breadth first
+        members, gens, tried = [elems[i] for i in _bits(h)], [elems[i] for i in found[h]], h
+        for e in G.element_tuples():
+            if tried >> index[e] & 1:
+                continue
+            he = sum(1 << index[_compose(m, e)] for m in members)
+            k, reps, k_gens, tried = h | he, [e], gens + [e], tried | he
+            for w in reps:  # grows while it is read
+                for x in [_compose(w, g) for g in k_gens]:
+                    if not k >> index[x] & 1:
+                        k |= sum(1 << index[_compose(m, x)] for m in members)
+                        reps.append(x)
+            if k not in found:
+                found[k] = found[h] + (index[e],)
+                queue.append(k)
+    return {k: PermGroup(G.degree, [Permutation(elems[i]) for i in g], caps=caps) for k, g in found.items()}
 
 
 def strong_oblique_core(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Ob*_G(H): H meet all H-normalized subgroups of G not contained in H.
 
-    On the masks of :func:`all_subgroups`: K lies in H when its mask does, H
-    normalizes K when the conjugates of K's generators by H's have their bits
-    in K's mask, and the meet is ``&``. The answer is built from the
-    generators stored with its mask.
-    """
+    Each such subgroup holds some x outside H, so it holds <x^H>, the closure
+    of x's H-class, which is itself H-normalized and not inside H. So Ob*_G(H)
+    is H meet <x^H> for one x per H-class outside H: an ``&`` of masks over
+    G's element table, whose size the ``ob_star`` cap bounds."""
     if not H.is_subgroup_of(G):
         raise NotASubgroup("strong_oblique_core requires H <= G")
-    subgroups, table = all_subgroups(G, caps=caps), _element_table(G)
-    h = out = table.mask(H.element_tuples())
+    caps.check("ob_star", G.order)
+    table = _element_table(G)
+    out = done = table.mask(H.element_tuples())
     conj = [(g.images, _inverse(g.images)) for g in H.generators]
-    for k, K in zip(table.masks, subgroups):
-        conjugates = (table.index[_conj(x.images, g, g_inv)] for x in K.generators for g, g_inv in conj)
-        if k & ~h and all(k >> i & 1 for i in conjugates):
-            out &= k
-    return PermGroup(G.degree, subgroups[table.masks.index(out)].generators, caps=caps)
+    for i, x in enumerate(table.elements):
+        if not done >> i & 1:
+            cls = [x]  # x's H-class, grown while it is read
+            for y in cls:
+                cls += {_conj(y, g, g_inv) for g, g_inv in conj}.difference(cls)
+            done |= table.mask(cls)
+            out &= table.mask(_generated(G.degree, [], map(Permutation, cls), caps).element_tuples())
+    return _subgroup_of(G.degree, [table.elements[i] for i in _bits(out)], caps)
 
 
 def ob_function(G: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> int:

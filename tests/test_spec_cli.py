@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import oblique.group
+import oblique.lattice
 import oblique.towers
 from oblique import PermGroup, SpecError, build_group, parse_spec
 from oblique.caps import DEFAULT_CAPS, CapExceeded, Caps
@@ -499,6 +501,20 @@ def test_many_orbit_groups_that_do_not_split_build_no_factor_group(monkeypatch):
     assert code == 0 and built == [], err
 
 
+def test_ob_star_lists_no_subgroups(monkeypatch):
+    """Ob* meets one closure <x^H> per H-class and never lists G's subgroups,
+    so S6, with its 1455 subgroups, takes well under the budget."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ob* listed every subgroup")
+
+    monkeypatch.setattr(oblique.lattice, "all_subgroups", refuse)
+    started = time.perf_counter()
+    code, _, err = run_cli("ob-table", "sym(6)", "--max-n", "4", "--star")
+    assert code == 0, err
+    assert time.perf_counter() - started < 5.0
+
+
 def test_global_flags_after_subcommand():
     code, out, _ = run_cli("invariants", "sym(3)", "--seed", "7")
     assert code == 0
@@ -523,6 +539,9 @@ GOLDEN = Path(__file__).parent / "data"
         # the only reports that close normal-subgroup joins at degree >= 243
         ("invariants_c600.json", ("invariants", "cyclic(600)")),
         ("tower_fitting_2_3_2.json", ("tower", "--family", "fitting", "--params", "2,3,2", "--max-n", "4")),
+        # ob* on the order-120 and order-160 groups
+        ("ob_table_s5_star.json", ("ob-table", "sym(5)", "--max-n", "6", "--star")),
+        ("tower_fitting_5_2_star.json", ("tower", "--family", "fitting", "--params", "5,2", "--max-n", "3", "--star")),
     ],
 )
 def test_report_bytes_match_golden(name, argv):
