@@ -83,7 +83,7 @@ def _parser() -> argparse.ArgumentParser:
     p = add("tate", help="transfer-control conditions for S <= K <= G")
     p.add_argument("spec")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--K", default="self", help="subgroup spec, or 'self' for K = G")
+    p.add_argument("--K", default="self", help="subgroup spec, or 'self' for K = G (answered from the definition)")
 
     p = add("fusion", help="p-local fusion table")
     p.add_argument("spec")

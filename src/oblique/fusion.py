@@ -19,13 +19,12 @@ from .group import (
     _element_table,
     _generated,
     _orbit_normalizer,
-    centralizer,
     normalizer,
     quotient_action,
     sylow,
 )
 from .lattice import _bits, all_subgroups, pi_core
-from .perm import Permutation, _conj, _inverse
+from .perm import Permutation, _compose, _conj, _inverse
 
 
 @dataclass
@@ -97,7 +96,7 @@ def subgroup_classes_of_sylow(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -
 def automizer(G: PermGroup, P: PermGroup, caps: Caps = DEFAULT_CAPS) -> Automizer:
     """The automorphisms of P induced by N_G(P), a group of order |N_G(P) : C_G(P)|.
 
-    C_G(P) lies in N_G(P), so it is searched for in N_G(P) rather than in G.
+    C_G(P) lies in N_G(P), so it is counted among N_G(P)'s elements rather than G's.
     """
     if not P.is_subgroup_of(G):
         raise NotASubgroup("automizer requires P <= G")
@@ -105,8 +104,15 @@ def automizer(G: PermGroup, P: PermGroup, caps: Caps = DEFAULT_CAPS) -> Automize
 
 
 def _automizer(P: PermGroup, N: PermGroup, caps: Caps) -> Automizer:
-    """The automizer of P, given N = N_G(P)."""
-    order = N.order // centralizer(N, P, caps=caps).order
+    """The automizer of P, given N = N_G(P). Its order |N : C_N(P)| counts
+    C_N(P) among N's listed elements, so it checks the action group built
+    here independently."""
+    gens, centralized = [g.images for g in P.generators], N.order
+    if gens:
+        centralized = sum(
+            all(_compose(e, t) == _compose(t, e) for t in gens) for e in N.element_tuples(caps.order_enum)
+        )
+    order = N.order // centralized
     elems, index = _element_table(P).elements, _element_table(P).index
     perms = []
     for n in N.generators:

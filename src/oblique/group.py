@@ -760,13 +760,23 @@ def _grow_sylow(G: PermGroup, p: int, target: int, caps: Caps) -> PermGroup:
     that normalizes P; then <P, x> = P<x> is again a p-group. While P is not
     Sylow, P < N_S(P) for a Sylow S containing P, so N_G(P) has a p-element
     outside P and every pass grows P: log_p(target) passes suffice.
+
+    G's elements are tested for being p-elements only as the passes reach
+    them; a later pass first rereads the p-elements met so far.
     """
     caps.check("order_enum", G.order)
-    p_elems = [x for x in G.element_tuples() if _is_p_element(x, p)]
+    met, fresh = [], (x for x in G.element_tuples() if _is_p_element(x, p))
+
+    def p_elems():
+        yield from met
+        for x in fresh:
+            met.append(x)
+            yield x
+
     chain = StabilizerChain(G.degree, [])
     gens = []
     for _ in range(p_valuation(target, p)):
-        for x in p_elems:
+        for x in p_elems():
             if chain.order == target:
                 break
             if chain.contains(x):

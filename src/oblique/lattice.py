@@ -46,6 +46,7 @@ class NormalLattice:
         self.ambient = ambient
         self._orders = dict(sorted(orders.items(), key=lambda item: item[1]))  # {mask: order}, by order
         self._groups = {}
+        self._ob_star = {}  # {mask of I_n(G): ob*_G(n)}, filled by ob_star_function
         self._caps = caps
         self._table = _class_seeds(ambient)[0]
         self._full = (1 << len(self._table)) - 1
@@ -452,9 +453,14 @@ def _ob_core(G: PermGroup, n: int, caps: Caps) -> int:
 
 
 def ob_star_function(G: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """ob*_G(n) = |G : Ob*_G(I_n(G))|."""
-    core = strong_oblique_core(G, intersection_of_small_normals(G, n, caps=caps), caps=caps)
-    return G.order // core.order
+    """ob*_G(n) = |G : Ob*_G(I_n(G))|, computed once per distinct I_n(G) and
+    kept on G's lattice; the ``ob_star`` cap is checked on every call."""
+    lat = normal_lattice(G, caps=caps)
+    h = lat._small_normals(n)
+    caps.check("ob_star", G.order)
+    if h not in lat._ob_star:
+        lat._ob_star[h] = G.order // strong_oblique_core(G, lat.group(h), caps=caps).order
+    return lat._ob_star[h]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +496,9 @@ def _derived_agemo(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
 def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> TateCheck:
     """Evaluate the four transfer-control conditions for S <= K <= G.
 
-    S is a Sylow p-subgroup of K, which must also be one of G.
+    S is a Sylow p-subgroup of K, which must also be one of G. Each condition
+    compares X(G) n S with X(K) n S; a subgroup K of G with G's order is G, so
+    then all four hold by definition and nothing is computed.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -498,6 +506,8 @@ def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
         raise NotASubgroup("tate_check requires K <= G")
     if p_part(K.order, p) != p_part(G.order, p):
         raise NotASubgroup("K does not contain a Sylow p-subgroup of G")
+    if K.order == G.order:
+        return TateCheck(True, True, True, True)
     S = sylow(K, p, caps=caps)
     s_elems = S.element_set()
 
@@ -508,8 +518,7 @@ def tate_check(G: PermGroup, K: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
         groups = (dH, _derived_agemo(H, p, caps=caps), mixed, opH)
         return [frozenset(e for e in s_elems if X.chain.contains(e)) for X in groups]
 
-    g_sides = sides(G)
-    return TateCheck(*(a == b for a, b in zip(g_sides, g_sides if K is G else sides(K))))
+    return TateCheck(*(a == b for a, b in zip(sides(G), sides(K))))
 
 
 def is_p_prime_normal(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:

@@ -824,18 +824,22 @@ def test_tate_examples():
     assert rec.as_tuple() == (True, True, True, True)
 
 
-def test_tate_with_k_equal_to_g_computes_one_side(monkeypatch):
+def test_tate_with_k_equal_to_g_computes_nothing(monkeypatch):
+    """A K <= G of G's order is G, so all four conditions hold by definition:
+    no Sylow subgroup and no residual is computed, whether K is G itself or
+    an equal group built separately."""
     calls = []
-    residual = oblique.lattice.pi_residual
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return residual(*args, **kwargs)
+    def counting(name):
+        real = getattr(oblique.lattice, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-    monkeypatch.setattr(oblique.lattice, "pi_residual", counting)
+    for name in ("sylow", "pi_residual"):
+        monkeypatch.setattr(oblique.lattice, name, counting(name))
     S4 = PermGroup.symmetric(4)
-    assert tate_check(S4, S4, 3).as_tuple() == (True, True, True, True)
-    assert calls == [S4]
+    for K in (S4, PermGroup.symmetric(4)):
+        assert tate_check(S4, K, 3).as_tuple() == (True, True, True, True)
+    assert calls == []
 
 
 def test_tate_requires_full_sylow():

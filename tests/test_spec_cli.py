@@ -515,6 +515,17 @@ def test_ob_star_lists_no_subgroups(monkeypatch):
     assert time.perf_counter() - started < 5.0
 
 
+def test_ob_star_is_computed_once_per_distinct_small_normal_intersection(monkeypatch):
+    """In S6, I_1 = S6 and I_2 = I_3 = I_4 = A6: two cores for four rows."""
+    cores = []
+    core = oblique.lattice.strong_oblique_core
+    monkeypatch.setattr(oblique.lattice, "strong_oblique_core", lambda *a, **k: cores.append(a[1]) or core(*a, **k))
+    code, out, err = run_cli("ob-table", "sym(6)", "--max-n", "4", "--star")
+    assert code == 0, err
+    assert [row["ob_star"] for row in json.loads(out)["ob_table"]] == [1, 2, 2, 2]
+    assert [H.order for H in cores] == [720, 360]
+
+
 def test_global_flags_after_subcommand():
     code, out, _ = run_cli("invariants", "sym(3)", "--seed", "7")
     assert code == 0
@@ -577,6 +588,21 @@ def run_process(*args, **env):
 def test_importing_the_cli_loads_neither_numpy_nor_sympy():
     code = "import sys, oblique.cli; print([m for m in ('numpy', 'sympy') if m in sys.modules])"
     assert run_process("-c", code) == "[]\n"
+
+
+def test_tate_with_k_equal_to_g_loads_no_sympy():
+    """K = G, as 'self' or as an equal spec, is answered from the definition,
+    so groups above the brute-search limit need no sympy Sylow search."""
+    code = (
+        "import io, json, sys\n"
+        "from oblique.cli import main\n"
+        "for argv in (['tate', 'sym(8)', '--p', '3'], ['tate', 'sym(10)', '--p', '2', '--K', 'sym(10)']):\n"
+        "    out = io.StringIO()\n"
+        "    assert main(argv, stdout=out, stderr=sys.stderr) == 0, argv\n"
+        "    print(sorted(set(json.loads(out.getvalue())['tate'].values())))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert run_process("-c", code) == "[True]\n[True]\nFalse\n"
 
 
 @pytest.mark.parametrize(
